@@ -36,6 +36,8 @@ Scoring paths (all bit-identical; asserted three ways in tests):
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -2210,19 +2212,92 @@ def explain_score(
             "terms": rows}
 
 
+class ResidentDocs:
+    """One immutable snapshot of a ``docs/`` store's non-text columns,
+    sorted by ``doc_id`` (stable, so a doc_id stored twice keeps its
+    file order).  ``sig`` is the :func:`_docs_signature` it was loaded
+    under; ``sorts`` memoizes ``GET /docs`` listing orders per
+    ``(column, dir)`` — a pure function of the immutable table, so
+    concurrent fills are harmless."""
+
+    __slots__ = ("sig", "table", "ids", "sorts")
+
+    def __init__(self, sig: tuple, table):
+        self.sig = sig
+        self.table = table
+        self.ids = table["doc_id"].to_numpy().astype(np.int64, copy=False)
+        self.sorts: dict = {}
+
+    def rows_of(self, doc_ids) -> np.ndarray:
+        """Row positions of every stored row whose doc_id is requested,
+        in doc_id order (``isin`` semantics: a requested id repeated
+        counts once, a stored duplicate comes back twice)."""
+        want = np.unique(np.asarray(doc_ids, dtype=np.int64))
+        lo = np.searchsorted(self.ids, want, "left")
+        n = np.searchsorted(self.ids, want, "right") - lo
+        start = np.cumsum(n) - n
+        return np.repeat(lo - start, n) + np.arange(int(n.sum()))
+
+
+_RESIDENT_LOCK = _threading.Lock()
+_RESIDENT: "dict[str, ResidentDocs]" = {}
+
+
+def _docs_signature(docs_dir: str) -> tuple:
+    """``(name, inode, size, mtime_ns)`` of every entry in ``docs/``:
+    atomic rewrites (new inode), lifecycle adds and compaction all
+    change it.  Raises ``FileNotFoundError`` when there is no store."""
+    out = []
+    with os.scandir(docs_dir) as it:
+        for e in it:
+            st = e.stat()
+            out.append((e.name, st.st_ino, st.st_size, st.st_mtime_ns))
+    return tuple(sorted(out))
+
+
+def resident_docs(index_dir: str) -> ResidentDocs:
+    """The resident narrow docs table of ``index_dir``, loaded once per
+    ``docs/`` signature and re-validated (a few stats) on every call,
+    so metadata rewrites, adds and compaction are visible on the next
+    call without a reload hook.  The text column is never resident.
+    The lock covers only the install, never the read."""
+    docs_dir = os.path.join(index_dir, "docs")
+    sig = _docs_signature(docs_dir)
+    ent = _RESIDENT.get(docs_dir)
+    if ent is not None and ent.sig == sig:
+        return ent
+    # signature first, then the read: the loaded rows are at least as
+    # new as ``sig``, so a write racing the read only costs a reload
+    ds = pads.dataset(docs_dir)
+    t = ds.to_table(columns=[c for c in ds.schema.names if c != "text"])
+    ent = ResidentDocs(sig, t.take(pc.sort_indices(t["doc_id"])).combine_chunks())
+    with _RESIDENT_LOCK:
+        _RESIDENT[docs_dir] = ent
+    return ent
+
+
 def lookup_docs(index_dir: str, doc_ids: list[int], columns: list[str] | None = None):
     """Broadcast/map-side metadata join for a (tiny) top-k result set.
 
     Inner-join semantics — ids without metadata are dropped, mirroring
     the reference skipping missing records
-    (``/root/reference/src/refimage/api.py:461-474``).  Uses a pyarrow
-    dataset filter so parquet row groups that can't match are pruned.
-    """
-    import os
+    (reference ``api.py:461-474``).  Rows come back in doc_id order.
 
-    ds = pads.dataset(os.path.join(index_dir, "docs"))
-    cols = columns or [c for c in ds.schema.names if c != "text"]
-    return ds.to_table(columns=cols, filter=pc.field("doc_id").isin(doc_ids))
+    Without ``text`` in ``columns`` (the default is every non-text
+    column) the join is a ``searchsorted`` + ``take`` on the
+    :func:`resident_docs` table: its cost follows ``len(doc_ids)``, not
+    the store's size — doc ids are hashes, so a parquet filter prunes
+    no row group and would decode the whole store per call.  Requests
+    for ``text`` scan ``docs/`` with a pushed-down ``isin`` filter; text
+    is never made resident.  A missing ``docs/`` (doc-partitioned
+    layout) raises ``FileNotFoundError``.
+    """
+    if columns and "text" in columns:
+        ds = pads.dataset(os.path.join(index_dir, "docs"))
+        return ds.to_table(columns=columns, filter=pc.field("doc_id").isin(doc_ids))
+    ent = resident_docs(index_dir)
+    t = ent.table.select(columns) if columns else ent.table
+    return t.take(ent.rows_of(doc_ids))
 
 
 def significant_terms(
@@ -2288,7 +2363,7 @@ def doc_term_vector(index_dir: str, doc_id: int) -> list[dict]:
     """Per-document term vector (the ES ``_termvectors`` analog):
     ``[{term, tf, positions}]`` in ascending term order, tokenized with
     the artifact's own pattern (index/verify symmetry), text fetched
-    via the same pruned point lookup as ``lookup_docs``.  Raises
+    by ``lookup_docs``'s pushed-down text scan.  Raises
     ``KeyError`` for unknown ids (the 404 analog)."""
     import os
 
@@ -2317,8 +2392,9 @@ def stream_doc_bytes(index_dir: str, doc_id: int, chunk_size: int = 65536):
     (``/root/reference/src/refimage/api.py:944-954``: FileResponse
     streams the stored image bytes).
 
-    Predicate-pushdown point lookup (only row groups that can contain
-    ``doc_id`` are read), then the UTF-8 payload is yielded in
+    A pushed-down ``doc_id`` filter over the text column (hash ids
+    defeat row-group pruning, so this scans ``docs/``; text is never
+    resident), then the UTF-8 payload is yielded in
     ``chunk_size``-byte chunks so a serving layer can stream a large
     document without holding it whole.  Raises ``KeyError`` for an
     unknown doc_id (the 404 analog).

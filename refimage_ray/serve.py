@@ -9,7 +9,7 @@ Route map (reference analog → here):
 
 - ``GET /health``                      (``api.py`` health)          → index stats probe
 - ``GET /stats``                       (storage stats rollup)       → manifest stats
-- ``GET /search?q=&k=&mode=``          (or/and/phrase/phrase_prefix/near/prefix/fuzzy/wildcard/regex)  → ``searcher.search`` / ``search_phrase`` / ``search_phrase_prefix`` / ``search_near`` / ``search_prefix`` / ``search_fuzzy`` / ``search_wildcard`` / ``search_regex`` + metadata join
+- ``GET /search?q=&k=&mode=``          (or/and/phrase/phrase_prefix/near/prefix/fuzzy/wildcard/regex)  → ``searcher.search`` / ``search_phrase`` / ``search_phrase_prefix`` / ``search_near`` / ``search_prefix`` / ``search_fuzzy`` / ``search_wildcard`` / ``search_regex`` + metadata join (``lookup_docs``: searchsorted on the resident doc_id-sorted docs table, re-validated per request by a ``docs/`` stat signature — metadata PUTs, adds and compaction show without /reload)
   (``&slop=N`` with mode=phrase: ordered proximity, ≤N interleaved tokens per step;
   mode=phrase_prefix: last token treated as a prefix (search-as-you-type);
   ``&window=W`` with mode=near: unordered proximity, all terms within a W-token span;
@@ -30,7 +30,7 @@ Route map (reference analog → here):
 - ``GET /explain?q=``                  (text→vector / dsl→vector, ``api.py:160-229``) → ``extension.explain`` plan
 - ``GET /nl/providers``                (``GET /llm/providers``, ``api.py:350-395``) → ``ProviderManager`` registry
 - ``POST /nl/switch`` {"provider": ...} (``POST /llm/switch``, ``api.py:398-435``) → runtime provider switch
-- ``GET /docs?limit=&offset=&sort=&dir=`` (paginated listing, ``GET /metadata`` ``api.py:665-704``) → pruned docs-store scan + total_count
+- ``GET /docs?limit=&offset=&sort=&dir=`` (paginated listing, ``GET /metadata`` ``api.py:665-704``) → pages of the same resident docs table ``lookup_docs`` joins from (sorted indices memoized per docs/ signature) + total_count
 - ``GET /docs/{id}``                   (metadata GET)                → ``lookup_docs`` (404 when missing)
 - ``GET /docs/{id}/termvectors``       (ES _termvectors analog)      → ``doc_term_vector`` (term/tf/positions, index tokenizer)
 - ``GET /docs/{id}/file``              (chunked file serving, ``api.py:944-954``) → ``stream_doc_bytes`` chunked response
@@ -136,7 +136,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
     instead of silently demoting the deployment to a LocalSearcher."""
     from refimage_ray.query.dsl import DSLExecutor, DSLParseError
     from refimage_ray.query.engine import (
-        LocalSearcher, lookup_docs, stream_doc_bytes,
+        LocalSearcher, lookup_docs, resident_docs, stream_doc_bytes,
     )
 
     from refimage_ray.query.nl import ProviderManager
@@ -175,13 +175,6 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         # same base, both return 200, and only the last swap survives
         # (the other request's acknowledged docs vanish from serving)
         "add_lock": _threading.Lock(),
-        # /docs listing-cache generation: a request thread that read the
-        # docs dataset BEFORE a /reload must not install its pre-reload
-        # snapshot AFTER the reload popped the cache (stale listings
-        # would then serve until the next /reload).  The lock covers
-        # only the gen-check + install / pop + bump pairs — never I/O.
-        "docs_lock": _threading.Lock(),
-        "docs_gen": 0,
     }
 
     def _group_dirs():
@@ -231,6 +224,8 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
             return json.loads(self.rfile.read(n) or b"{}")
 
         def _hits_with_meta(self, hits):
+            if not hits:
+                return []
             try:
                 meta = {
                     r["doc_id"]: r
@@ -284,17 +279,16 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
             if u.path == "/docs":
                 # paginated metadata listing (reference GET /metadata,
                 # api.py:665-704: limit/offset/sort_by/sort_order +
-                # total_count).  Column-pruned local scan of the docs
-                # store (never the text column), whitelisted sort keys
+                # total_count).  Pages of the resident narrow docs
+                # table (never the text column), whitelisted sort keys
                 # + doc_id tiebreak — ops-sized pages; deep pagination
                 # at corpus scale should use search_after instead.
-                import os.path as _os_path
-
                 import pyarrow.compute as _pc
-                import pyarrow.dataset as _pads
 
                 _SORT_COLS = ("doc_id", "doc_len", "n_chars",
                               "warc_ts", "lang", "url")
+                _LIST_COLS = ("doc_id", "url", "lang",
+                              "doc_len", "n_chars", "warc_ts")
                 sort_by = q.get("sort", "doc_id")
                 order_dir = q.get("dir", "asc")
                 if sort_by not in _SORT_COLS:
@@ -309,62 +303,36 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                 if limit < 0 or off < 0:
                     return self._json(
                         {"error": "limit/offset must be >= 0"}, 422)
-                # the table and its sorted indices travel as ONE cache
-                # object: a concurrent /reload pops the whole thing
-                # atomically, and a request that grabbed the old
-                # snapshot keeps using the old table WITH the old
-                # indices (pairing a stale index with a fresh table
-                # would take() out-of-range or return a wrong page)
-                cache = state.get("docs_list_cache")
-                if cache is None:
-                    # snapshot the generation BEFORE reading the
-                    # dataset: if a /reload lands while this thread
-                    # reads, the stale snapshot must not be installed
-                    # after the reload's pop (docs_lock pairs the
-                    # check with the install)
-                    docs_gen = state["docs_gen"]
-                    # load-once like every other resident structure;
-                    # /reload drops the cache with the state swap.
-                    # BOUNDED: the listing cache is a serving-process
-                    # resident; past the cap the endpoint refuses and
-                    # points at the offline pipeline instead of
-                    # swallowing corpus-sized memory per process
-                    try:
-                        dset = _pads.dataset(
-                            _os_path.join(index_dir, "docs"))
-                    except FileNotFoundError:
-                        return self._json(
-                            {"error": "this artifact's layout keeps no "
-                                      "docs metadata store"}, 422)
-                    n_rows = dset.count_rows()
-                    if n_rows > _DOCS_LIST_CAP:
-                        return self._json(
-                            {"error": "docs listing is capped at "
-                                      f"{_DOCS_LIST_CAP} resident rows "
-                                      f"(artifact has {n_rows}); use the "
-                                      "offline list_docs_page pipeline "
-                                      "for corpus-scale listings",
-                             "code": "docs_listing_too_large"}, 422)
-                    avail = set(dset.schema.names)
-                    cols = [c for c in ("doc_id", "url", "lang",
-                                        "doc_len", "n_chars", "warc_ts")
-                            if c in avail]
-                    cache = {"tbl": dset.to_table(columns=cols),
-                             "idx": {}}
-                    with state["docs_lock"]:
-                        if state["docs_gen"] == docs_gen:
-                            state["docs_list_cache"] = cache
-                    # on a lost race this request still serves its own
-                    # (consistent) snapshot; the next request reloads
-                t = cache["tbl"]
+                # the resident docs entry (shared with lookup_docs) is
+                # immutable per docs/ signature, so its table and the
+                # sorted indices memoized on it always pair up; a
+                # metadata rewrite or compaction installs a new entry
+                try:
+                    ent = resident_docs(index_dir)
+                except FileNotFoundError:
+                    return self._json(
+                        {"error": "this artifact's layout keeps no "
+                                  "docs metadata store"}, 422)
+                t = ent.table
+                # BOUNDED: past the cap the endpoint refuses and points
+                # at the offline pipeline instead of paging corpus-sized
+                # resident tables per process
+                if t.num_rows > _DOCS_LIST_CAP:
+                    return self._json(
+                        {"error": "docs listing is capped at "
+                                  f"{_DOCS_LIST_CAP} resident rows "
+                                  f"(artifact has {t.num_rows}); use the "
+                                  "offline list_docs_page pipeline "
+                                  "for corpus-scale listings",
+                         "code": "docs_listing_too_large"}, 422)
                 if sort_by not in t.column_names:
                     return self._json(
                         {"error": f"sort column {sort_by!r} not in "
                                   "this artifact"}, 422)
-                # one sorted index per (column, dir) — computed once,
-                # O(log n) pages afterwards; bounded by the whitelisted
-                # sort columns × 2 directions
-                sel = cache["idx"].get((sort_by, order_dir))
+                # one sorted index per (column, dir) — computed once per
+                # entry, O(log n) pages afterwards; bounded by the
+                # whitelisted sort columns × 2 directions
+                sel = ent.sorts.get((sort_by, order_dir))
                 if sel is None:
                     keys = [(sort_by,
                              "descending" if order_dir == "desc"
@@ -372,8 +340,10 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                     if sort_by != "doc_id":
                         keys.append(("doc_id", "ascending"))
                     sel = _pc.sort_indices(t, sort_keys=keys)
-                    cache["idx"][(sort_by, order_dir)] = sel
-                page = t.take(sel[off:off + limit])
+                    ent.sorts[(sort_by, order_dir)] = sel
+                page = t.select(
+                    [c for c in _LIST_COLS if c in t.column_names]
+                ).take(sel[off:off + limit])
                 return self._json({
                     "docs": [
                         {k: str(v) for k, v in row.items()}
@@ -970,12 +940,6 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                     state["s"] = fresh
                     state["ex"] = DSLExecutor(state["s"])
                 state["meta_dirs"] = _group_dirs()  # new segments' docs/
-                # one atomic pop: table + sorted indices leave together;
-                # the gen bump (same lock) invalidates any /docs read
-                # already in flight against the pre-reload dataset
-                with state["docs_lock"]:
-                    state.pop("docs_list_cache", None)
-                    state["docs_gen"] += 1
                 # LM counts may have shifted with the corpus; the gen
                 # bump also invalidates a training pass in flight.
                 # MUST hold lm_lock: an unlocked pop/bump could lose

@@ -54,6 +54,16 @@ def _topk_candidates(s: np.ndarray, kk: int) -> np.ndarray:
     return np.flatnonzero(s >= kth)
 
 
+def _row_dots(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``m · q`` per row as an elementwise product and a row sum, for
+    every score an operator RETURNS: each row is summed on its own in
+    a fixed order, so a score cannot depend on how many rows share the
+    call.  A BLAS GEMV/GEMM (``m @ q``) picks its summation order by
+    matrix shape, which made exact cosines differ in the last ulp
+    across block layouts."""
+    return (m * q).sum(axis=1)
+
+
 def _normalize(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0] = 1.0  # guard ÷0 (reference: search/__init__.py:130-133)
@@ -156,12 +166,10 @@ def brute_force_topk(
         q = ray.get(q_ref)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         m = _normalize(_to_matrix(batch[emb_col]))
-        scores = m @ q.T  # (n_batch, n_q)
-        nq = scores.shape[1]
         out_q, out_id, out_s = [], [], []
         kk = min(k, len(ids))
-        for qi in range(nq):  # loop over queries (few), vectorized over vectors
-            s = scores[:, qi]
+        for qi in range(q.shape[0]):  # loop over queries (few), vectorized over vectors
+            s = _row_dots(m, q[qi])
             sel = _topk_candidates(s, kk)
             out_q.append(np.full(len(sel), qi, dtype=np.int64))
             out_id.append(ids[sel])
@@ -230,10 +238,9 @@ def lsh_bucketed_topk(
             return pa.table({"query_id": pa.array([], pa.int64()),
                              "vec_id": pa.array([], pa.int64()),
                              "score": pa.array([], pa.float64())})
-        scores = m @ q.T
         out = []
-        for qi in range(scores.shape[1]):
-            s = scores[:, qi]
+        for qi in range(q.shape[0]):
+            s = _row_dots(m, q[qi])
             kk = min(k, len(s))
             sel = _topk_candidates(s, kk)
             out.append(
@@ -330,7 +337,7 @@ def ivf_topk(
             sel = np.isin(assign, qc[qi])
             if not sel.any():
                 continue
-            s = m[sel] @ q[qi]
+            s = _row_dots(m[sel], q[qi])
             kk = min(k, len(s))
             top = _topk_candidates(s, kk)
             out_q.append(np.full(len(top), qi, dtype=np.int64))
@@ -622,7 +629,7 @@ def pq_topk(
     violated it).  Returned scores are true cosines; only membership
     is approximate.  Recall grows with ``n_codes`` / ``pool_factor``.
     """
-    from refimage_ray.stages.pq import adc_scores, pq_encode, pq_train
+    from refimage_ray.stages.pq import adc_scores, check_pq_dim, pq_encode, pq_train
 
     qm = _normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
     if codebooks is not None:
@@ -631,6 +638,8 @@ def pq_topk(
         head = emb_ds.limit(sample_rows).to_pandas()
         sm = _normalize(np.stack(head[emb_col].to_numpy()).astype(np.float64))
         books = pq_train(sm, m=m, k=n_codes)
+    # fail here, before any batch runs, with the shapes named
+    check_pq_dim(qm.shape[1], books)
     pool = pool_factor * k
     state = ray.put((qm, books))
 
@@ -648,7 +657,7 @@ def pq_topk(
             out_q.append(np.full(len(cand), qi, dtype=np.int64))
             out_id.append(ids[cand])
             out_a.append(approx[cand])
-            out_s.append(mat[cand] @ q[qi])    # exact cosine, attached
+            out_s.append(_row_dots(mat[cand], q[qi]))  # exact cosine, attached
         return pa.table(
             {
                 "query_id": pa.array(np.concatenate(out_q), pa.int64()),

@@ -64,8 +64,23 @@ def pq_train(
     return books
 
 
+def check_pq_dim(dim: int, books: np.ndarray) -> None:
+    """Raise ``ValueError`` unless vectors of ``dim`` split exactly into
+    the codebooks' ``m`` subspaces of ``dsub`` (a mismatch would
+    otherwise truncate subvectors silently or fail in a bare reshape)."""
+    if books.ndim != 3:
+        raise ValueError(f"codebooks must be (m, k, dsub), got shape {books.shape}")
+    m, _, dsub = books.shape
+    if dim != m * dsub:
+        raise ValueError(
+            f"vector dim {dim} does not match codebooks: m={m} × dsub={dsub} "
+            f"= {m * dsub}"
+        )
+
+
 def pq_encode(mat: np.ndarray, books: np.ndarray) -> np.ndarray:
     """(n, d) L2-normalized vectors → (n, m) uint8 codes."""
+    check_pq_dim(mat.shape[1], books)
     m, k, dsub = books.shape
     n = mat.shape[0]
     codes = np.empty((n, m), np.uint8)
@@ -79,7 +94,13 @@ def pq_encode(mat: np.ndarray, books: np.ndarray) -> np.ndarray:
 def adc_scores(q: np.ndarray, books: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Asymmetric distance computation: approximate inner products of a
     (normalized) query against (n, m) codes — m table lookups per code."""
+    check_pq_dim(q.size, books)
     m, k, dsub = books.shape
+    if codes.ndim != 2 or codes.shape[1] != m or (codes.size and codes.max() >= k):
+        raise ValueError(
+            f"codes of shape {codes.shape} do not match codebooks: m={m} "
+            f"subspaces of k={k} codes (dim {q.size}, dsub={dsub})"
+        )
     tables = np.einsum("mkd,md->mk", books, q.reshape(m, dsub))
     out = np.zeros(len(codes), np.float64)
     for j in range(m):  # m is small (8); lookups are vectorized over n

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refimage_ray.stages.pq import adc_scores, pq_encode, pq_train
 
@@ -174,3 +176,80 @@ def test_pq_topk_seeded_codebooks_recall(ray_session):
         got = {r["vec_id"] for r in approx if r["query_id"] == qi}
         assert len(want & got) >= 3, (qi, want, got)
         assert qi in got  # self-match survives the fixed quantizer
+
+
+def test_pq_shape_mismatch_raises_naming_dims(ray_session, tmp_path):
+    """A vector dim that is not m·dsub, or codes from other codebooks,
+    raise ValueError naming dim, m and dsub (previously pq_encode
+    truncated subvectors silently and adc_scores failed in a bare
+    reshape)."""
+    import pyarrow.parquet as pq_
+
+    import ray.data as rd
+
+    from refimage_ray.pipelines.vectors import knn_cosine_pq
+    from refimage_ray.stages.ann import pq_topk
+
+    x = _unit_rows(300, 16)
+    books = pq_train(x, m=4, k=8)            # dim 16 = 4 × 4
+    with pytest.raises(ValueError, match=r"dim 20 .*m=4 × dsub=4"):
+        pq_encode(_unit_rows(10, 20), books)
+    codes = pq_encode(x, books)
+    with pytest.raises(ValueError, match=r"dim 12 .*m=4 × dsub=4"):
+        adc_scores(_unit_rows(1, 12)[0], books, codes)
+    # codes from mismatched codebooks: other m, other k
+    other_m = pq_train(x, m=2, k=8)          # dim 16 = 2 × 8
+    with pytest.raises(ValueError, match=r"m=2 .*dsub=8"):
+        adc_scores(x[0], other_m, codes)
+    other_k = pq_train(x, m=4, k=4)
+    with pytest.raises(ValueError, match=r"k=4"):
+        adc_scores(x[0], other_k, codes)
+    t = pa.table({
+        "vec_id": pa.array(range(300), pa.int64()),
+        "embedding": pa.array([r.tolist() for r in x], pa.list_(pa.float32())),
+    })
+    with pytest.raises(ValueError, match=r"dim 16 .*m=2 × dsub=4"):
+        pq_topk(rd.from_arrow(t), x[:2], k=5, m=2,
+                codebooks=np.zeros((2, 8, 4)))
+    # the catalogue query derives dsub = dim // 8: dim 12 is not 8·dsub
+    y = _unit_rows(40, 12)
+    pq_.write_table(pa.table({
+        "vec_id": pa.array(range(40), pa.int64()),
+        "embedding": pa.array([r.tolist() for r in y], pa.list_(pa.float32())),
+    }), str(tmp_path / "embeddings.parquet"))
+    with pytest.raises(ValueError, match=r"dim 12 .*m=8 × dsub=1"):
+        knn_cosine_pq(str(tmp_path), [0, 1], k=3)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(60, 240),
+       dim=st.sampled_from([16, 32, 48]), parts=st.integers(2, 17))
+def test_ann_topk_bitwise_under_any_block_layout(ray_session, seed, n, dim,
+                                                 parts):
+    """brute_force_topk, ivf_topk and pq_topk return bitwise-equal
+    (query_id, vec_id, score) rows whatever ``repartition(n)`` cut the
+    embeddings into blocks.  Duplicated vectors make exact score ties,
+    which must tie bitwise too."""
+    import ray.data as rd
+
+    from refimage_ray.stages.ann import brute_force_topk, ivf_topk, pq_topk
+
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, dim))
+    mat[n // 2:n // 2 + 5] = mat[:5]
+    t = pa.table({
+        "vec_id": pa.array(range(n), pa.int64()),
+        "embedding": pa.array([r.tolist() for r in mat],
+                              pa.list_(pa.float32())),
+    })
+    q = mat[[1, n - 1]]
+    cents = rng.standard_normal((6, dim))
+    ops = {
+        "brute": lambda ds: brute_force_topk(ds, q, k=8),
+        "ivf": lambda ds: ivf_topk(ds, q, k=8, centroids=cents, nprobe=2),
+        "pq": lambda ds: pq_topk(ds, q, k=8, m=4, n_codes=8),
+    }
+    for name, op in ops.items():
+        one = op(rd.from_arrow(t)).to_pylist()
+        many = op(rd.from_arrow(t).repartition(parts)).to_pylist()
+        assert one == many, name

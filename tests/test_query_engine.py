@@ -841,3 +841,125 @@ def test_search_after_distributed_and_docpart(
     dd = DistributedDocPartSearcher(out, num_actors=2)
     dd.wait_ready()
     assert dd.search(q, k=5, after=cursor) == want
+
+
+# ---- resident metadata join (lookup_docs) ------------------------------
+
+def _pushdown_lookup(index_dir, doc_ids, columns=None):
+    """The pre-resident join: a pushed-down ``isin`` scan of docs/."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    ds = pads.dataset(os.path.join(index_dir, "docs"))
+    cols = columns or [c for c in ds.schema.names if c != "text"]
+    return ds.to_table(columns=cols, filter=pc.field("doc_id").isin(doc_ids))
+
+
+def _multiset(t):
+    from collections import Counter
+
+    return Counter(tuple(sorted(r.items())) for r in t.to_pylist())
+
+
+_DUP_IDS = (5, 17)
+
+
+def _write_docs_store(index_dir):
+    """Three docs/ files; _DUP_IDS are stored twice (across files)."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(os.path.join(index_dir, "docs"))
+    parts = [list(range(0, 40)), list(range(40, 80)), list(_DUP_IDS)]
+    for i, ids in enumerate(parts):
+        pq.write_table(pa.table({
+            "doc_id": pa.array([d * 7919 for d in ids], pa.int64()),
+            "text": [f"text of {d} part {i}" for d in ids],
+            "url": [f"https://site{d % 5}.example/{d}/{i}" for d in ids],
+            "lang": ["en" if d % 3 else "de" for d in ids],
+            "doc_len": pa.array([d % 11 for d in ids], pa.int32()),
+        }), os.path.join(index_dir, "docs", f"part-{i}.parquet"))
+
+
+@pytest.fixture(scope="module")
+def docs_store(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("resident") / "idx")
+    _write_docs_store(d)
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 79), max_size=15),
+    unknown=st.lists(st.integers(-10**12, 10**12), max_size=3),
+    cols=st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(["doc_id", "url", "lang", "doc_len", "text"]),
+                 min_size=1, unique=True),
+    ),
+)
+def test_resident_lookup_matches_pushdown(docs_store, picks, unknown, cols):
+    """Resident searchsorted+take join == the pushdown scan, as
+    multisets: random id subsets, repeats in the request, unknown ids,
+    ids stored twice, column subsets (with and without text) and the
+    empty list."""
+    ids = [p * 7919 for p in picks] + unknown
+    got = lookup_docs(docs_store, ids, columns=cols)
+    want = _pushdown_lookup(docs_store, ids, columns=cols)
+    assert got.schema == want.schema
+    assert _multiset(got) == _multiset(want)
+
+
+def test_resident_lookup_duplicates_empty_and_order(docs_store):
+    dup = _DUP_IDS[0] * 7919
+    t = lookup_docs(docs_store, [dup, dup, 3 * 7919])
+    assert t["doc_id"].to_pylist() == [3 * 7919, dup, dup]  # doc_id order
+    assert "text" not in t.column_names
+    empty = lookup_docs(docs_store, [])
+    assert empty.num_rows == 0 and empty.schema == t.schema
+    sub = lookup_docs(docs_store, [], columns=["doc_id", "lang"])
+    assert sub.num_rows == 0 and sub.column_names == ["doc_id", "lang"]
+
+
+def test_resident_lookup_real_artifact(built_index, local):
+    index_dir = built_index[0]
+    ids = [d for d, _ in local.search("the data", k=40)]
+    for cols in (None, ["doc_id", "url"], ["doc_id", "text"]):
+        got = lookup_docs(index_dir, ids + [999999999], columns=cols)
+        want = _pushdown_lookup(index_dir, ids + [999999999], columns=cols)
+        assert _multiset(got) == _multiset(want)
+
+
+def test_resident_lookup_sees_rewrites_without_reload(tmp_path, monkeypatch):
+    """update_doc_metadata, then lookup_docs with no reload hook: the
+    docs/ signature changed, so the next call serves the new value; an
+    unchanged store is served without opening the dataset again."""
+    import pyarrow.dataset as pads
+
+    from refimage_ray.index.lifecycle import update_doc_metadata
+
+    d = str(tmp_path / "idx")
+    _write_docs_store(d)
+    doc = 4 * 7919
+    assert lookup_docs(d, [doc])["lang"].to_pylist() == ["en"]
+    opens = []
+    real = pads.dataset
+    monkeypatch.setattr(pads, "dataset",
+                        lambda *a, **kw: opens.append(a) or real(*a, **kw))
+    for _ in range(5):
+        assert lookup_docs(d, [doc])["lang"].to_pylist() == ["en"]
+    assert lookup_docs(d, []).num_rows == 0
+    assert opens == []  # warm: no dataset open, no data-file read
+    assert update_doc_metadata(d, {doc: {"lang": "xx", "url": "u"}}) == 1
+    got = lookup_docs(d, [doc], columns=["doc_id", "url", "lang"]).to_pylist()
+    assert got == [{"doc_id": doc, "url": "u", "lang": "xx"}]
+    assert len(opens) == 1  # exactly one reload for the new signature
+
+
+def test_resident_lookup_missing_store_raises(tmp_path):
+    """A doc-partitioned artifact keeps no docs/: still FileNotFoundError."""
+    with pytest.raises(FileNotFoundError):
+        lookup_docs(str(tmp_path), [1, 2])

@@ -1070,3 +1070,53 @@ def test_docs_listing_during_reload_storm(server):
     assert set(codes) == {200}
     st1, b1 = _get(base + "/docs?limit=3")
     assert st1 == 200 and b1["total_count"] == total
+
+
+def test_warm_search_opens_no_docs_dataset(server, monkeypatch):
+    """The metadata join is resident: 50 warm /search requests open the
+    docs/ dataset zero times, and a hit-less search skips the join."""
+    import pyarrow.dataset as pads
+
+    from refimage_ray.query import engine
+
+    base, d = server
+    assert _get(base + "/search?q=data&k=10")[0] == 200  # warm
+    opens, sigs = [], []
+    real_ds, real_sig = pads.dataset, engine._docs_signature
+
+    def counting_ds(source, *a, **kw):
+        if str(source).rstrip("/").endswith("docs"):
+            opens.append(source)
+        return real_ds(source, *a, **kw)
+
+    monkeypatch.setattr(pads, "dataset", counting_ds)
+    monkeypatch.setattr(engine, "_docs_signature",
+                        lambda p: sigs.append(p) or real_sig(p))
+    queries = ["data", "spark join", "table scan", "the data", "merge"]
+    for i in range(50):
+        st, body = _get(base + f"/search?q={queries[i % 5].replace(' ', '+')}"
+                        "&k=10")
+        assert st == 200 and body["results"]
+        assert all("url" in r for r in body["results"])
+    assert opens == []
+    assert len(sigs) == 50  # validated once per request
+    st, body = _get(base + "/search?q=qqqqzz&k=10")
+    assert st == 200 and body["results"] == []
+    assert len(sigs) == 50  # nothing to join: no lookup at all
+
+
+def test_docs_listing_sees_metadata_put_without_reload(server):
+    """GET /docs pages the same resident entry as the join, so a
+    metadata PUT shows in the listing on the next request."""
+    base, d = server
+    st, body = _get(base + "/docs?limit=1")
+    doc_id = body["docs"][0]["doc_id"]
+    st, _ = _req(f"{base}/docs/{doc_id}/metadata", "PUT",
+                 {"url": "https://listed.example/x"})
+    assert st == 200
+    st, body = _get(base + "/docs?limit=1")
+    assert body["docs"][0]["doc_id"] == doc_id
+    assert body["docs"][0]["url"] == "https://listed.example/x"
+    # the listing's shape: its own columns, not every resident one
+    assert {"doc_id", "url", "lang"} <= set(body["docs"][0]) <= {
+        "doc_id", "url", "lang", "doc_len", "n_chars", "warc_ts"}
