@@ -76,21 +76,27 @@ def slice_varbyte(
 
 
 def varbyte_decode(buf: bytes) -> np.ndarray:
-    """Decode varbyte bytes back to a uint64 array."""
+    """Decode varbyte bytes back to a uint64 array.
+
+    Values are self-delimiting, so ``buf`` may be any concatenation of
+    encoded blobs (a whole Arrow column's data buffer): the result is
+    the concatenation of the per-blob decodes.  Raises ``ValueError``
+    when the stream ends inside a value (a truncated blob)."""
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         return np.zeros(0, dtype=np.uint64)
     term = (b & 0x80) == 0  # last byte of each value
-    n = int(term.sum())
-    value_id = np.zeros(b.size, dtype=np.int64)
-    value_id[1:] = np.cumsum(term[:-1])
-    starts = np.zeros(n, dtype=np.int64)
+    if not term[-1]:
+        raise ValueError("varbyte stream ends inside a value")
     ends = np.flatnonzero(term)
+    starts = np.empty_like(ends)
+    starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    offsets = (np.arange(b.size, dtype=np.int64) - starts[value_id]).astype(np.uint64)
-    out = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(out, value_id, (b & np.uint8(0x7F)).astype(np.uint64) << (offsets * _U7))
-    return out
+    value_id = np.zeros(b.size, dtype=np.int64)
+    np.cumsum(term[:-1], out=value_id[1:])
+    shift = (np.arange(b.size, dtype=np.int64) - starts[value_id]).astype(np.uint64) * _U7
+    groups = (b & np.uint8(0x7F)).astype(np.uint64) << shift
+    return np.bitwise_or.reduceat(groups, starts)
 
 
 def delta_encode(sorted_ids: np.ndarray) -> np.ndarray:

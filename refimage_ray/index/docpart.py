@@ -46,12 +46,9 @@ from ray.data.aggregate import Count, Sum
 
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.functions.codec import (
-    decode_f64,
-    decode_postings,
     encode_f64,
     encode_postings,
     slice_varbyte,
-    varbyte_decode,
     varbyte_encode,
     varbyte_encode_with_offsets,
 )
@@ -398,19 +395,6 @@ def _load_tombstones(index_dir: str) -> np.ndarray:
     )
 
 
-def _filter_postings_row(
-    ids: np.ndarray, keep: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
-    w: np.ndarray, pos: "np.ndarray | None",
-):
-    """Drop dead postings from one term run (positions are ragged —
-    segment-sliced with the same keep set, as in ``reader.py``)."""
-    from refimage_ray.index.pack import ragged_take
-
-    if pos is not None:
-        pos = ragged_take(pos, tfs.astype(np.int64), np.flatnonzero(keep))
-    return ids[keep], tfs[keep], dls[keep], w[keep], pos
-
-
 def _load_shard_view(
     index_dir: str, fname: str, n_docs: int, avgdl: float, global_df: dict,
     token_pattern: "str | None" = None,
@@ -424,7 +408,7 @@ def _load_shard_view(
     Lucene deleted-docs semantics, mirroring the term layout's reader:
     dead docs stop matching immediately; df/N/avgdl keep pre-delete
     values until ``docpart_lifecycle.compact_docpart``."""
-    from refimage_ray.index.reader import TermPostings
+    from refimage_ray.index.reader import TermPostings, decode_term_runs
     from refimage_ray.query.engine import _SearcherBase
 
     class _ShardView(_SearcherBase):
@@ -471,37 +455,28 @@ def _load_shard_view(
         )
         dv = encode_value_columns(vt, ids)
     tm: dict[str, TermPostings] = {}
-    with_pos = "positions" in t.column_names
-    for row in t.to_pylist():
-        ids = decode_postings(row["doc_ids"])
-        w = decode_f64(row["weights"])
-        tfs = varbyte_decode(row["tfs"]).astype(np.int64)
-        dls = varbyte_decode(row["dls"]).astype(np.int64)
-        pos = (
-            varbyte_decode(row["positions"]).astype(np.int32)
-            if with_pos else None
+    if t.num_rows:
+        # one row per term: every row is its own run of the shared
+        # column decode (reader.decode_term_runs)
+        runs = decode_term_runs(
+            t, np.arange(t.num_rows), np.zeros(0, np.int64) if dead is None else dead
         )
-        if dead is not None and len(dead):
-            from refimage_ray.functions.arrays import sorted_membership
-
-            keep = ~sorted_membership(dead, ids)
-            if not keep.all():
-                ids, tfs, dls, w, pos = _filter_postings_row(
-                    ids, keep, tfs, dls, w, pos
-                )
-                if len(ids) == 0:
-                    continue
-        tm[row["term"]] = TermPostings(
-            df=int(global_df[row["term"]]),  # GLOBAL df → exact idf
-            doc_ids=ids,
-            weights=w,
-            tfs=tfs,
-            max_weight=float(row["max_weight"]),
-            block_last_doc=ids[-1:].copy(),
-            block_max_weight=np.array([row["max_weight"]], np.float64),
-            dls=dls,
-            positions=pos,
-        )
+        maxw = t["max_weight"].to_numpy().tolist()
+        for term, run, mw in zip(t["term"].to_pylist(), runs, maxw):
+            if run is None:
+                continue
+            ids, w, tfs, dls, pos = run
+            tm[term] = TermPostings(
+                df=int(global_df[term]),  # GLOBAL df → exact idf
+                doc_ids=ids,
+                weights=w,
+                tfs=tfs,
+                max_weight=mw,
+                block_last_doc=ids[-1:].copy(),
+                block_max_weight=np.array([mw], np.float64),
+                dls=dls,
+                positions=pos,
+            )
     if dv is not None:
         # validates posting doc_ids ⊆ the shard's values universe (a
         # stale/foreign docvalues file would otherwise rank-misalign

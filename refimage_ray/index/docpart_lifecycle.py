@@ -48,7 +48,6 @@ import ray.data as rd
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.functions.arrays import sorted_membership
 from refimage_ray.functions.codec import (
-    decode_f64,
     decode_postings,
     encode_f64,
     encode_postings,
@@ -66,33 +65,21 @@ def _values_path(index_dir: str, fname: str) -> str:
 
 def _decode_shard_rows(index_dir: str, fname: str, dead: np.ndarray):
     """One shard file → {term: (ids, tfs, dls, pos|None)} with dead
-    postings dropped (same filter as the load path)."""
-    from refimage_ray.index.docpart import _filter_postings_row
+    postings dropped (the load path's column decode and filter)."""
+    from refimage_ray.index.reader import decode_term_runs
 
     path = os.path.join(index_dir, fname)
     if not os.path.exists(path):
         return {}
     t = pq.read_table(path)
-    with_pos = "positions" in t.column_names
+    if not t.num_rows:
+        return {}
     out = {}
-    for row in t.to_pylist():
-        ids = decode_postings(row["doc_ids"])
-        tfs = varbyte_decode(row["tfs"]).astype(np.int64)
-        dls = varbyte_decode(row["dls"]).astype(np.int64)
-        w = decode_f64(row["weights"])  # discarded; recomputed on merge
-        pos = (
-            varbyte_decode(row["positions"]).astype(np.int32)
-            if with_pos else None
-        )
-        if len(dead):
-            keep = ~sorted_membership(dead, ids)
-            if not keep.all():
-                ids, tfs, dls, w, pos = _filter_postings_row(
-                    ids, keep, tfs, dls, w, pos
-                )
-                if len(ids) == 0:
-                    continue
-        out[row["term"]] = (ids, tfs, dls, pos)
+    runs = decode_term_runs(t, np.arange(t.num_rows), dead)
+    for term, run in zip(t["term"].to_pylist(), runs):
+        if run is not None:
+            ids, _w, tfs, dls, pos = run  # weights recomputed on merge
+            out[term] = (ids, tfs, dls, pos)
     return out
 
 

@@ -6,10 +6,21 @@ into process memory and kept resident for all queries
 ``:57-60``).  Here each query actor loads the part files of its
 assigned shards once in ``__init__``.
 
+Columnar load: the requested part files are concatenated into one
+Arrow table, and each posting column (``doc_ids``, ``tfs``, ``dls``,
+``positions``, ``weights``) is decoded ONCE over its whole data
+buffer — varbyte blobs are self-delimiting, so a column's buffer is
+itself a valid stream (:func:`decode_term_runs`).  Every
+``TermPostings`` array is then a read-only view of one flat array, so
+load cost follows bytes, not the number of terms, and an in-place
+write raises instead of corrupting a neighbouring term.
+
 Salt-bucket merge: a hot term's postings live in several
 ``part-{shard}-{salt}`` files, each covering a disjoint, increasing
-doc_id range — so merging is pure concatenation in salt order and the
-result is globally doc_id-sorted (the property the build guarantees).
+doc_id range.  Ordering the table's rows by ``(term, salt)`` makes a
+term's rows adjacent in salt order, so its view over the flat arrays
+equals the concatenation in salt order and is globally doc_id-sorted
+(the property the build guarantees).
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from refimage_ray.functions.codec import decode_f64, decode_postings, varbyte_decode
@@ -101,19 +114,161 @@ def attach_ranks(
     in all_ids``.  Query-time disjunctive scoring then accumulates into
     a dense float64 array by fancy indexing (no per-query sort /
     factorize / searchsorted) — the classic score-array TAAT.  Ranks
-    are int32 below 2^31 docs (+4 B/posting resident).  Self-checking:
-    a doc_id absent from the universe (corrupt artifact) raises."""
+    are int32 below 2^31 docs (+4 B/posting resident); one
+    ``searchsorted`` over all terms' doc_ids, each term's ranks a
+    read-only view of the result.  Self-checking: a doc_id absent from
+    the universe (corrupt artifact) raises."""
+    if not term_map:
+        return term_map
     dtype = np.int32 if len(all_ids) < 2**31 else np.int64
-    for term, p in term_map.items():
-        r = np.searchsorted(all_ids, p.doc_ids)
-        if len(p.doc_ids) and (
-            r.max() >= len(all_ids) or not np.array_equal(all_ids[r], p.doc_ids)
-        ):
-            raise ValueError(
-                f"posting doc_ids for {term!r} not all present in docs/ universe"
-            )
-        p.ranks = r.astype(dtype)
+    plist = list(term_map.values())
+    lens = np.array([len(p.doc_ids) for p in plist], np.int64)
+    ends = np.cumsum(lens)
+    flat = np.concatenate([p.doc_ids for p in plist])
+    r = np.searchsorted(all_ids, flat)
+    found = r < len(all_ids)
+    found[found] = all_ids[r[found]] == flat[found]
+    if not found.all():
+        bad = int(np.searchsorted(ends, np.argmin(found), side="right"))
+        raise ValueError(
+            f"posting doc_ids for {list(term_map)[bad]!r} not all present "
+            "in docs/ universe"
+        )
+    ranks = _frozen(r.astype(dtype))
+    for p, s, e in zip(plist, (ends - lens).tolist(), ends.tolist()):
+        p.ranks = ranks[s:e]
     return term_map
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _binary_column(t: pa.Table, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A binary column as one byte buffer + per-row byte offsets (from
+    0), with 64-bit offsets so the whole column fits one array."""
+    a = t.column(name).cast(pa.large_binary()).combine_chunks()
+    _, offs, data = a.buffers()
+    o = np.frombuffer(offs, np.int64)[a.offset : a.offset + len(a) + 1]
+    b = np.frombuffer(data, np.uint8) if data is not None else np.zeros(0, np.uint8)
+    return b[o[0] : o[-1]], o - o[0]
+
+
+def _row_counts(b: np.ndarray, o: np.ndarray, name: str) -> np.ndarray:
+    """Values per row of a varbyte column: terminator bytes between
+    the row offsets.  A row whose blob ends inside a value would bleed
+    into the next row, so it raises."""
+    term = (b & 0x80) == 0
+    nonempty = o[1:] > o[:-1]
+    if not term[o[1:][nonempty] - 1].all():
+        raise ValueError(f"truncated varbyte blob in column {name!r}")
+    c = np.concatenate(([0], np.cumsum(term)))
+    return c[o[1:]] - c[o[:-1]]
+
+
+def _varbyte_column(t: pa.Table, name: str, counts: np.ndarray, dtype):
+    b, o = _binary_column(t, name)
+    if not np.array_equal(_row_counts(b, o, name), counts):
+        raise ValueError(f"column {name!r} misaligned with doc_ids")
+    return _frozen(varbyte_decode(b).astype(dtype))
+
+
+def decode_term_runs(
+    t: pa.Table, starts: np.ndarray, dead: np.ndarray
+) -> list[tuple | None]:
+    """Decode the posting columns of ``t`` once each, for runs of rows
+    ``[starts[g], starts[g+1])`` (the last run ends at the table's end)
+    that each hold one term.
+
+    Returns, per run, ``(doc_ids, weights, tfs, dls, positions)`` —
+    read-only views of flat column arrays, concatenated over the run's
+    rows in table order; ``dls``/``positions`` are None when the
+    column is absent (pre-dls / non-positional artifacts).  Doc-id
+    deltas are prefix-summed once over the whole column and re-based
+    per row (exact: the arithmetic wraps modulo 2^64).
+
+    Postings whose doc_id is in ``dead`` (sorted) are dropped: only
+    runs that lose postings are rebuilt, and a run left with none is
+    None.  Shared by the term- and doc-partitioned loaders.
+    """
+    names = t.column_names
+    b, o = _binary_column(t, "doc_ids")
+    counts = _row_counts(b, o, "doc_ids")
+    voff = np.concatenate(([0], np.cumsum(counts)))
+    prefix = decode_postings(b).view(np.uint64)
+    base = np.zeros(len(counts), np.uint64)
+    has_prev = voff[:-1] > 0
+    base[has_prev] = prefix[voff[:-1][has_prev] - 1]
+    ids = _frozen((prefix - np.repeat(base, counts)).view(np.int64))
+    wb, wo = _binary_column(t, "weights")
+    if not np.array_equal(np.diff(wo), 8 * counts):
+        raise ValueError("column 'weights' misaligned with doc_ids")
+    w = _frozen(decode_f64(wb))
+    tfs = _varbyte_column(t, "tfs", counts, np.int64)
+    dls = _varbyte_column(t, "dls", counts, np.int64) if "dls" in names else None
+    pos = None
+    if "positions" in names:
+        ctf = np.concatenate(([0], np.cumsum(tfs)))
+        pos = _varbyte_column(t, "positions", ctf[voff[1:]] - ctf[voff[:-1]], np.int32)
+    rows = np.append(starts, len(counts))
+    off = voff[rows].tolist()
+    poff = ctf[voff[rows]].tolist() if pos is not None else None
+
+    hit = None
+    if len(dead) and len(ids):
+        from refimage_ray.functions.arrays import sorted_membership
+
+        is_dead = sorted_membership(dead, ids)
+        cd = np.concatenate(([0], np.cumsum(is_dead)))[voff[rows]]
+        hit = cd[1:] > cd[:-1]
+    out: list[tuple | None] = []
+    for g in range(len(starts)):
+        s, e = off[g], off[g + 1]
+        run = (
+            ids[s:e], w[s:e], tfs[s:e],
+            None if dls is None else dls[s:e],
+            None if pos is None else pos[poff[g] : poff[g + 1]],
+        )
+        if hit is not None and hit[g]:
+            run = _drop(run, ~is_dead[s:e])
+        out.append(run)
+    return out
+
+
+def _drop(run: tuple, keep: np.ndarray) -> tuple | None:
+    """A run without its dead postings (positions are ragged —
+    segment-sliced with the same keep set); None if none survive."""
+    if not keep.any():
+        return None
+    ids, w, tfs, dls, pos = run
+    if pos is not None:
+        from refimage_ray.index.pack import ragged_take
+
+        pos = _frozen(ragged_take(pos, tfs, np.flatnonzero(keep)))
+    return (
+        _frozen(ids[keep]), _frozen(w[keep]), _frozen(tfs[keep]),
+        None if dls is None else _frozen(dls[keep]), pos,
+    )
+
+
+def _list_column(t: pa.Table, name: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A list column as (flat values, per-row offsets into them)."""
+    a = t.column(name).combine_chunks()
+    vals = a.values.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
+    return _frozen(vals), a.offsets.to_numpy()
+
+
+def _widen(t: pa.Table) -> pa.Table:
+    """64-bit offsets for the binary and list columns, so each whole
+    column fits one array whatever the index size."""
+    fields = [
+        f.with_type(pa.large_binary()) if f.type == pa.binary()
+        else f.with_type(pa.large_list(f.type.value_type))
+        if pa.types.is_list(f.type) else f
+        for f in t.schema
+    ]
+    return t.cast(pa.schema(fields))
 
 
 class IndexReader:
@@ -147,74 +302,63 @@ class IndexReader:
         return sorted(self._parts_by_shard)
 
     def load_shards(self, shards: list[int] | None = None) -> dict[str, TermPostings]:
-        """Decode posting lists for the given shards (all if None)."""
+        """Load the posting lists of the given shards (all if None).
+
+        One Arrow table over the shards' part files, rows ordered by
+        ``(term, salt)`` (a term lives in one shard, so its salt rows
+        become adjacent); each posting column decoded once
+        (:func:`decode_term_runs`), each term's arrays read-only views
+        of the flat columns — equal to concatenating the term's salt
+        rows in salt order.  ``df`` and ``max_weight`` reduce over the
+        term's rows; the block arrays are views of the flattened list
+        columns.  Terms come back in the order of their first row in
+        the shards' part files.
+
+        Tombstone semantics (documented): logical deletes remove docs
+        from RESULTS only; df / N / avgdl / weights keep their
+        pre-delete values until a compaction/merge rebuilds them
+        (Lucene-style deleted-docs behavior; the reference simply
+        required a full rebuild, search/__init__.py:268-320).  Stored
+        block fences stay valid as upper bounds.  A term whose
+        postings are all deleted is absent.
+        """
         if shards is None:
             shards = self.shards()
-        acc: dict[str, list[tuple]] = {}
-        for shard in shards:
-            for p in self._parts_by_shard.get(shard, []):
-                t = pq.read_table(os.path.join(self.index_dir, p["path"]))
-                for row in t.to_pylist():
-                    acc.setdefault(row["term"], []).append(row)
+        tables = [
+            pq.read_table(os.path.join(self.index_dir, p["path"]))
+            for shard in shards
+            for p in self._parts_by_shard.get(shard, [])
+        ]
+        if not tables or not sum(t.num_rows for t in tables):
+            return {}
+        t = _widen(pa.concat_tables(tables))
+        order = pc.sort_indices(t, [("term", "ascending"), ("salt", "ascending")])
+        t = t.take(order)
+        term = t.column("term").combine_chunks()
+        new_run = pc.not_equal(term[1:], term[:-1]).to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.concatenate(([True], new_run)))
+        rows = np.append(starts, t.num_rows)
+        names = term.take(starts).to_pylist()
+        df = np.add.reduceat(t["df"].to_numpy(), starts).tolist()
+        mw = np.maximum.reduceat(t["max_weight"].to_numpy(), starts).tolist()
+        bl, bl_off = _list_column(t, "block_last_doc", np.int64)
+        bm, bm_off = _list_column(t, "block_max_weight", np.float64)
+        blo, bmo = bl_off[rows].tolist(), bm_off[rows].tolist()
+        runs = decode_term_runs(t, starts, self.tombstones)
+        first_row = np.minimum.reduceat(order.to_numpy(), starts)
         out: dict[str, TermPostings] = {}
-        for term, rows in acc.items():
-            # rows arrive in salt order per shard (manifest sorted);
-            # doc ranges are disjoint increasing → concatenation is sorted
-            rows.sort(key=lambda r: r["salt"])
-            ids = np.concatenate([decode_postings(r["doc_ids"]) for r in rows])
-            w = np.concatenate([decode_f64(r["weights"]) for r in rows])
-            tfs = np.concatenate(
-                [varbyte_decode(r["tfs"]).astype(np.int64) for r in rows]
-            )
-            if "dls" in rows[0]:
-                dls = np.concatenate(
-                    [varbyte_decode(r["dls"]).astype(np.int64) for r in rows]
-                )
-            else:  # pre-dls artifacts remain readable
-                dls = None
-            if "positions" in rows[0]:
-                positions = np.concatenate(
-                    [varbyte_decode(r["positions"]).astype(np.int32) for r in rows]
-                )
-            else:
-                positions = None
-            bl = np.concatenate(
-                [np.asarray(r["block_last_doc"], dtype=np.int64) for r in rows]
-            )
-            bm = np.concatenate(
-                [np.asarray(r["block_max_weight"], dtype=np.float64) for r in rows]
-            )
-            # Tombstone semantics (documented): logical deletes remove
-            # docs from RESULTS only; df / N / avgdl / weights keep
-            # their pre-delete values until a compaction/merge rebuilds
-            # them (Lucene-style deleted-docs behavior; the reference
-            # simply required a full rebuild, search/__init__.py:268-320).
-            # Stored block fences stay valid as upper bounds.
-            if len(self.tombstones):
-                from refimage_ray.functions.arrays import sorted_membership
-
-                dead = sorted_membership(self.tombstones, ids)
-                if dead.any():
-                    keep = ~dead
-                    if positions is not None:
-                        from refimage_ray.index.pack import ragged_take
-
-                        positions = ragged_take(
-                            positions, tfs.astype(np.int64), np.flatnonzero(keep)
-                        )
-                    ids, w, tfs = ids[keep], w[keep], tfs[keep]
-                    if dls is not None:
-                        dls = dls[keep]
-                    if len(ids) == 0:
-                        continue
-            out[term] = TermPostings(
-                df=int(sum(r["df"] for r in rows)),
+        for g in np.argsort(first_row).tolist():
+            if runs[g] is None:
+                continue
+            ids, w, tfs, dls, positions = runs[g]
+            out[names[g]] = TermPostings(
+                df=df[g],
                 doc_ids=ids,
                 weights=w,
                 tfs=tfs,
-                max_weight=float(max(r["max_weight"] for r in rows)),
-                block_last_doc=bl,
-                block_max_weight=bm,
+                max_weight=mw[g],
+                block_last_doc=bl[blo[g] : blo[g + 1]],
+                block_max_weight=bm[bmo[g] : bmo[g + 1]],
                 dls=dls,
                 positions=positions,
             )

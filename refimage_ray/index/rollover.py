@@ -38,8 +38,6 @@ import re
 import shutil
 
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
-from refimage_ray.index.build import build_index
-from refimage_ray.index.lifecycle import merge_indexes
 from refimage_ray.index.manifest import load_manifest
 
 _GEN_RE = re.compile(r"^gen-(\d{6})$")
@@ -118,6 +116,8 @@ def _seal(gen_dir: str, cfg: EngineConfig) -> None:
     tmp = merged + ".tmp"
     if os.path.isdir(tmp):  # stale partial merge: rebuild cleanly
         shutil.rmtree(tmp)
+    from refimage_ray.index.lifecycle import merge_indexes
+
     merge_indexes(_segments(gen_dir), tmp, cfg)
     os.rename(tmp, merged)
     with open(os.path.join(gen_dir, "_SEALED"), "w") as f:
@@ -159,6 +159,8 @@ def ingest(
             raise ValueError("first ingest into a group needs an "
                              "explicit EngineConfig")
         cfg = _cfg_of(parts[0])
+    from refimage_ray.index.build import build_index
+
     seg = os.path.join(gen, f"seg-{len(_segments(gen)) + 1:06d}")
     build_index(docs_ds, seg, cfg)
     n = _gen_docs(gen)

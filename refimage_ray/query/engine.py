@@ -42,8 +42,6 @@ import numpy as np
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-import ray
-
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.functions.hashing import blake2b64
 from refimage_ray.functions.text import tokenize
@@ -1934,6 +1932,8 @@ class DistributedSearcher(_SearcherBase):
                  max_restarts: int = 2) -> None:
         from collections import OrderedDict
 
+        import ray
+
         self._cache: "OrderedDict[str, TermPostings | None]" = OrderedDict()
         self._cache_bytes = 0
         self._cache_cap = int(cache_bytes)
@@ -1985,6 +1985,8 @@ class DistributedSearcher(_SearcherBase):
         salted hot-term list into the driver LRU — the build already
         identified the corpus's stopword-class terms, which are exactly
         the postings every realistic query mix re-touches."""
+        import ray
+
         ray.get([a.term_postings.remote([]) for a in self.actors])
         if warm_hot_terms and self._cache_cap:
             from refimage_ray.index.manifest import load_manifest
@@ -2031,6 +2033,8 @@ class DistributedSearcher(_SearcherBase):
         return futures, cached, missing
 
     def _gather_term_map(self, bundle: tuple) -> dict[str, TermPostings]:
+        import ray
+
         futures, cached, missing = bundle
         merged: dict[str, TermPostings] = dict(cached)
         fetched: dict[str, TermPostings] = {}
@@ -2064,6 +2068,8 @@ class DistributedSearcher(_SearcherBase):
         set is term-hash-scattered), union the per-shard (term, df)
         pairs.  Each shard owns a disjoint term set, so the union is a
         plain concatenation — no dedup or df merge needed."""
+        import ray
+
         out: list[tuple[str, int]] = []
         for res in ray.get(
             [a.expand_pairs.remote(kind, arg) for a in self.actors]

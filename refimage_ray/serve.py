@@ -980,16 +980,16 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                 import pyarrow as pa
 
                 from refimage_ray.query.engine import LocalSearcher
-                from refimage_ray.query.nrt import DeltaSearcher
+                from refimage_ray.query.nrt import (
+                    DeltaSearcher,
+                    DocPartDeltaSearcher,
+                )
 
                 rows = self._body().get("docs")
                 if not rows or not isinstance(rows, list):
                     return self._json(
                         {"error": "body wants {'docs': [{doc_id, text}]}"},
                         422)
-                from refimage_ray.index.docpart import DocPartSearcher
-                from refimage_ray.query.nrt import DocPartDeltaSearcher
-
                 try:
                     t = pa.table({
                         "doc_id": pa.array(
@@ -1011,18 +1011,24 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                     ):
                         if isinstance(srch, LocalSearcher):
                             fresh = DeltaSearcher(index_dir, base=srch)
-                        elif isinstance(srch, DocPartSearcher):
+                        else:
+                            # imported here: docpart imports Ray, which a
+                            # term-partitioned server never needs
+                            from refimage_ray.index.docpart import (
+                                DocPartSearcher,
+                            )
+
+                            if not isinstance(srch, DocPartSearcher):
+                                return self._json(
+                                    {"error": "NRT add needs an in-process "
+                                              "deployment (distributed "
+                                              "serving adds go through the "
+                                              "lifecycle + /reload)"}, 409)
                             # NRT on the serving-default layout: buffered
                             # docs route to their hash shard, shard views
                             # reweight under merged stats (query/nrt.py)
                             fresh = DocPartDeltaSearcher(
                                 index_dir, base=srch)
-                        else:
-                            return self._json(
-                                {"error": "NRT add needs an in-process "
-                                          "deployment (distributed serving "
-                                          "adds go through the lifecycle + "
-                                          "/reload)"}, 409)
                         srch = fresh
                     try:
                         n = srch.add(t)

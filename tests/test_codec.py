@@ -39,6 +39,44 @@ def test_varbyte_roundtrip(values):
     assert np.array_equal(varbyte_decode(varbyte_encode(a)), a)
 
 
+def test_varbyte_ten_byte_values():
+    # 2**63 and above need a 10th byte (7 * 9 = 63 bits)
+    a = np.array([2**64 - 1, 0, 2**63, 2**63 - 1, 2**64 - 2], np.uint64)
+    buf = varbyte_encode(a)
+    assert len(varbyte_encode(a[:1])) == 10
+    assert np.array_equal(varbyte_decode(buf), a)
+
+
+def test_varbyte_truncated_stream_raises():
+    buf = varbyte_encode(np.array([5, 300], np.uint64))
+    with pytest.raises(ValueError, match="inside a value"):
+        varbyte_decode(buf[:-1])
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40),
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_varbyte_decode_of_concatenated_blobs(rows):
+    """Blobs are self-delimiting: decoding a whole column's buffer at
+    once equals concatenating the per-blob decodes, and the terminator
+    bytes between the row offsets count each row's values (what the
+    columnar index load relies on)."""
+    from refimage_ray.index.reader import _row_counts
+
+    blobs = [varbyte_encode(np.array(r, np.uint64)) for r in rows]
+    buf = np.frombuffer(b"".join(blobs), np.uint8)
+    want = [varbyte_decode(b) for b in blobs]
+    got = varbyte_decode(buf)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.concatenate(want) if want else got[:0])
+    offsets = np.cumsum([0] + [len(b) for b in blobs])
+    assert _row_counts(buf, offsets, "x").tolist() == [len(r) for r in rows]
+
+
 @given(
     st.sets(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=300)
 )

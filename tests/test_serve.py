@@ -1120,3 +1120,46 @@ def test_docs_listing_sees_metadata_put_without_reload(server):
     # the listing's shape: its own columns, not every resident one
     assert {"doc_id", "url", "lang"} <= set(body["docs"][0]) <= {
         "doc_id", "url", "lang", "doc_len", "n_chars", "warc_ts"}
+
+
+_RAY_FREE_SERVE = r"""
+import json, sys, threading, urllib.request
+from refimage_ray.serve import make_server
+
+srv = make_server(sys.argv[1], port=0)
+threading.Thread(target=srv.serve_forever, daemon=True).start()
+base = f"http://127.0.0.1:{srv.server_address[1]}"
+
+def call(path, body=None):
+    req = urllib.request.Request(
+        base + path, method="GET" if body is None else "POST",
+        data=None if body is None else json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=30) as r:
+        return json.loads(r.read())
+
+assert call("/search?q=spark+join&k=3")["results"]
+call("/dsl?q=spark+OR+join")
+assert call("/count?q=spark")["count"] > 0
+assert call("/docs", {"docs": [{"doc_id": 10**9, "text": "spark"}]})["added"] == 1
+srv.shutdown()
+assert "ray" not in sys.modules, sorted(m for m in sys.modules if m.startswith("ray"))
+"""
+
+
+def test_term_partitioned_serving_never_imports_ray(built_index, tmp_path):
+    """A term-partitioned server loads, answers reads and takes an NRT
+    add without importing Ray (start-up pays for no unused framework)."""
+    import os
+    import subprocess
+    import sys
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(built_index[0], d)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [root, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    r = subprocess.run([sys.executable, "-c", _RAY_FREE_SERVE, d], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
