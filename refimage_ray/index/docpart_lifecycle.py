@@ -48,10 +48,8 @@ import ray.data as rd
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.functions.arrays import sorted_membership
 from refimage_ray.functions.codec import (
-    decode_postings,
     encode_f64,
     encode_postings,
-    varbyte_decode,
     varbyte_encode,
 )
 from refimage_ray.index.manifest import atomic_write_bytes
@@ -87,28 +85,22 @@ def _shard_dead_stats(
     index_dir: str, fname: str, dead: np.ndarray
 ) -> tuple[int, int]:
     """(dead docs present in this shard, their Σdl).  Universe from the
-    docvalues sibling when present, else the posting doc ids."""
-    n_dead = 0
+    docvalues sibling when present, else the posting doc ids (decoded
+    once per column over the whole shard file)."""
+    from refimage_ray.index.reader import decode_term_runs
+
     vfile = _values_path(index_dir, fname)
     path = os.path.join(index_dir, fname)
-    seen_docs: list[np.ndarray] = []
-    seen_dls: list[np.ndarray] = []
+    docs = np.zeros(0, np.int64)
+    dead_dl = 0
     if os.path.exists(path):
-        t = pq.read_table(path, columns=["doc_ids", "dls"])
-        for row in t.to_pylist():
-            ids = decode_postings(row["doc_ids"])
+        t = pq.read_table(path, columns=["doc_ids", "weights", "tfs", "dls"])
+        if t.num_rows:
+            ids, _w, _tfs, dls, _pos = decode_term_runs(
+                t, np.zeros(1, np.int64), np.zeros(0, np.int64))[0]
             m = sorted_membership(dead, ids)
-            if m.any():
-                seen_docs.append(ids[m])
-                seen_dls.append(varbyte_decode(row["dls"]).astype(np.int64)[m])
-    if seen_docs:
-        docs = np.concatenate(seen_docs)
-        dls = np.concatenate(seen_dls)
-        docs, first = np.unique(docs, return_index=True)
-        dead_dl = int(dls[first].sum())
-    else:
-        docs = np.zeros(0, np.int64)
-        dead_dl = 0
+            docs, first = np.unique(ids[m], return_index=True)
+            dead_dl = int(dls[m][first].sum())
     if os.path.exists(vfile):
         uids = pq.read_table(vfile, columns=["doc_id"])["doc_id"].to_numpy(
             zero_copy_only=False

@@ -16,10 +16,20 @@ the buffer is explicitly flushed through the incremental-add lifecycle
 (``index/lifecycle.add_documents``) when it grows past serving size.
 
 Scale note: the buffer is a *serving-side* structure (thousands of
-docs, not the corpus); each query recomputes weights only for ITS
-terms' postings — O(query posting mass), the same order as scoring.
-Filters/facets/order_by need the rank-aligned doc-value machinery of a
-built artifact and therefore require a flush first (loud error).
+docs, not the corpus).  An ``add`` costs O(batch): the batch is
+tokenized once and each of its terms gets the batch's posting run
+appended as one more chunk (:class:`_PostingBuffer`) — no buffered
+posting list is touched.  A term's chunks merge lazily, the first time
+a query needs the term, and the merged arrays replace the chunks, so
+only queried terms pay a merge, once per change.  Each query then
+recomputes weights only for ITS terms' postings — O(query posting
+mass), the same order as scoring — and memoizes them until the next
+add; the memo is generation-checked, so a read that overlaps an add
+never stores weights computed under the old N/avgdl.  Buffered
+metadata is a doc_id → row map, so a hit's metadata join costs
+O(hits).  Filters/facets/order_by need the rank-aligned doc-value
+machinery of a built artifact and therefore require a flush first
+(loud error).
 """
 
 from __future__ import annotations
@@ -45,8 +55,11 @@ class _LRUTermMemo:
     A pure cache: eviction can only cost a rebuild on the next query
     for that term, never change results (the NRT bit-identity tests
     hold under a cap smaller than the query vocabulary).  Mutations
-    (add/flush) still ``clear()`` the whole memo — generation safety
-    is the caller's invariant, this class only bounds the size.
+    (add/flush) ``clear()`` the whole memo, which also advances its
+    buffer generation ``gen``: a reader snapshots ``gen`` before it
+    reads the buffer and the merged stats, and :meth:`put` drops its
+    result if an add landed in between — otherwise weights computed
+    under the old N/avgdl would be pinned until the next add.
 
     THREAD-SAFE: searchers holding this memo are shared across
     ThreadingHTTPServer request threads, so the get's ``get +
@@ -54,9 +67,10 @@ class _LRUTermMemo:
     not interleave with a concurrent eviction or an add/flush
     ``clear()`` — unguarded, that interleaving raises ``KeyError`` and
     turns a ``/search`` into a 500.  One tiny lock around the dict ops
-    (never around postings work) closes it."""
+    (never around postings work) closes it, and also makes put's
+    generation check atomic with clear's bump."""
 
-    __slots__ = ("_d", "_cap", "_lock")
+    __slots__ = ("_d", "_cap", "_lock", "gen")
 
     def __init__(self, cap: int = _TERM_MEMO_CAP):
         import threading
@@ -65,6 +79,7 @@ class _LRUTermMemo:
         self._d: "OrderedDict[str, TermPostings]" = OrderedDict()
         self._cap = cap
         self._lock = threading.Lock()
+        self.gen = 0
 
     def get(self, key: str):
         with self._lock:
@@ -75,67 +90,169 @@ class _LRUTermMemo:
 
     def __setitem__(self, key: str, value) -> None:
         with self._lock:
-            d = self._d
-            d[key] = value
-            d.move_to_end(key)
-            if len(d) > self._cap:
-                d.popitem(last=False)
+            self._set(key, value)
+
+    def put(self, key: str, value, gen: int) -> None:
+        """Store ``value`` only if no clear() happened since ``gen``."""
+        with self._lock:
+            if gen == self.gen:
+                self._set(key, value)
+
+    def _set(self, key: str, value) -> None:
+        d = self._d
+        d[key] = value
+        d.move_to_end(key)
+        if len(d) > self._cap:
+            d.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
             self._d.clear()
+            self.gen += 1
 
     def __len__(self) -> int:
         return len(self._d)
 
 
-def _buffer_postings(
-    table: pa.Table, cfg
-) -> tuple[dict[str, tuple], np.ndarray, np.ndarray]:
-    """(doc_id, text) buffer rows → per-term (ids, tfs, dls) arrays +
-    (sorted buffer ids, doc lengths aligned to them).  Vectorized: one
-    tokenize_batch + one argsort; no per-row Python."""
-    from refimage_ray.stages.tokenize import doc_lengths, tokenize_batch
+class _PostingBuffer:
+    """Append-only columnar posting buffer behind both NRT searchers.
 
-    ids = table["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    dl = doc_lengths(table["text"], cfg).astype(np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids, dl = ids[order], dl[order]
-    if len(np.unique(ids)) != len(ids):
-        raise ValueError("duplicate doc_ids within the added batch")
+    ``add`` tokenizes the batch once (``_flat_tokens`` + one
+    dictionary encode), counts tf per (shard, term, doc) with one
+    ``np.unique`` — rows come out sorted by (shard, term, doc_id) —
+    and appends each (shard, term) run to that term's chunk tuple as
+    slices of the batch arrays: O(batch), no buffered list is touched.
+    :meth:`postings` merges a term's pending chunks the first time a
+    query needs them and installs the merged arrays in their place, so
+    later adds append to one merged chunk and only queried terms ever
+    pay a merge.
 
-    toks = tokenize_batch(table, cfg)
-    t_ids = toks["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    t_tfs = toks["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
-    terms = toks["term"]
-    if isinstance(terms, pa.ChunkedArray):
-        terms = terms.combine_chunks()
-    import pyarrow.compute as pc
+    Chunk tuples are immutable.  A merge installs its result only if
+    the term's tuple is still the one it read, under the same small
+    lock that add's appends take, so a concurrent add is never lost.
 
-    dct = pc.dictionary_encode(terms)
-    if isinstance(dct, pa.ChunkedArray):
-        dct = dct.combine_chunks()
-    codes = dct.indices.to_numpy(zero_copy_only=False)
-    vocab = dct.dictionary.to_pylist()
-    # group rows by (term code, doc_id): one lexsort, then split at
-    # term-code boundaries — postings come out doc_id-sorted per term
-    sel = np.lexsort((t_ids, codes))
-    codes, t_ids, t_tfs = codes[sel], t_ids[sel], t_tfs[sel]
-    bounds = np.flatnonzero(np.diff(codes)) + 1
-    dls_all = dl[np.searchsorted(ids, t_ids)]
-    out: dict[str, tuple] = {}
-    for c_start, c_end in zip(
-        np.concatenate(([0], bounds)), np.concatenate((bounds, [len(codes)]))
-    ):
-        if c_end == c_start:
-            continue
-        term = vocab[codes[c_start]]
-        out[term] = (
-            t_ids[c_start:c_end],
-            t_tfs[c_start:c_end],
-            dls_all[c_start:c_end],
+    ``num_shards`` > 1 keys runs by the doc shard the caller assigns
+    (the doc-partitioned layout); :meth:`df` sums a term's run lengths
+    over all shards (the union-global idf basis).  Metadata rows are
+    kept as a doc_id → (add sequence, row) map."""
+
+    def __init__(self, cfg, num_shards: int = 1):
+        import threading
+
+        self._cfg = cfg
+        # per shard: term -> tuple of (columns, start, end) chunks
+        self._runs: list[dict[str, tuple]] = [{} for _ in range(num_shards)]
+        self.ids = np.zeros(0, np.int64)  # sorted
+        self.sum_dl = 0
+        self.tables: list[pa.Table] = []
+        self._rows: dict[int, tuple[int, dict]] = {}
+        self._lock = threading.Lock()
+
+    def add(self, docs: pa.Table, base_ids: np.ndarray, shard_of=None) -> int:
+        """Buffer (doc_id, text) rows.  Ids must be unique in the batch
+        and new to ``base_ids`` (sorted) and the buffer.  ``shard_of``
+        maps the batch's sorted ids to doc shards (and may refuse
+        them); nothing is buffered when any check raises."""
+        import pyarrow.compute as pc
+
+        from refimage_ray.functions.arrays import sorted_membership
+        from refimage_ray.stages.tokenize import _flat_tokens, doc_lengths
+
+        if not {"doc_id", "text"} <= set(docs.column_names):
+            raise ValueError("add() needs doc_id and text columns")
+        ids = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        dl = doc_lengths(docs["text"], self._cfg).astype(np.int64)
+        order = np.argsort(ids, kind="stable")
+        s_ids, s_dl = ids[order], dl[order]
+        if (s_ids[1:] == s_ids[:-1]).any():
+            raise ValueError("duplicate doc_ids within the added batch")
+        clash = s_ids[
+            sorted_membership(self.ids, s_ids)
+            | sorted_membership(base_ids, s_ids)
+        ]
+        if len(clash):
+            raise ValueError(
+                f"doc_ids already indexed or buffered: {clash[:5].tolist()}"
+            )
+        shard = (
+            np.zeros(len(s_ids), np.int64) if shard_of is None
+            else shard_of(s_ids)
         )
-    return out, ids, dl
+        flat, parent = _flat_tokens(docs["text"], self._cfg)
+        if len(flat):
+            dct = pc.dictionary_encode(flat)
+            vocab = dct.dictionary.to_pylist()
+            codes = dct.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+            n, nv = len(s_ids), len(vocab)
+            rank = np.empty(n, np.int64)
+            rank[order] = np.arange(n)
+            r = rank[parent]
+            # one key per token: (shard, term code, doc rank) — unique
+            # keys are the postings, sorted by (shard, term, doc_id)
+            keys, tfs = np.unique((shard[r] * nv + codes) * n + r,
+                                  return_counts=True)
+            run_key, r = np.divmod(keys, n)
+            # (ids, tfs, dls) as the rows of one array: a merge is one
+            # concatenate + one take, whatever the column count
+            cols = np.stack((s_ids[r], tfs, s_dl[r]))
+            starts = np.flatnonzero(np.r_[True, run_key[1:] != run_key[:-1]])
+            g, c = np.divmod(run_key[starts], nv)
+            bounds = starts.tolist() + [len(keys)]
+            runs = self._runs
+            with self._lock:
+                for g_, c_, s, e in zip(g.tolist(), c.tolist(), bounds, bounds[1:]):
+                    d, term = runs[g_], vocab[c_]
+                    d[term] = d.get(term, ()) + ((cols, s, e),)
+        seq = len(self._rows)
+        for j, (i, row) in enumerate(zip(ids.tolist(), docs.to_pylist())):
+            self._rows[i] = (seq + j, row)
+        self.tables.append(docs)
+        self.ids = np.sort(np.concatenate((self.ids, s_ids)))
+        self.sum_dl += int(dl.sum())
+        return len(ids)
+
+    def postings(self, term: str, shard: int = 0):
+        """(ids, tfs, dls) of ``term``'s buffered postings in ``shard``,
+        doc_id-sorted, or None.  Merges pending chunks (concatenate,
+        then a stable argsort by doc_id unless the ids already ascend,
+        as they do when adds bring increasing ids) and keeps the result
+        for later queries unless an add appended meanwhile."""
+        d = self._runs[shard]
+        chunks = d.get(term)
+        if chunks is None:
+            return None
+        if len(chunks) == 1:
+            cols, s, e = chunks[0]
+            return tuple(cols[:, s:e])
+        merged = np.concatenate([cols[:, s:e] for cols, s, e in chunks], axis=1)
+        ids = merged[0]
+        if (ids[1:] < ids[:-1]).any():
+            # some add's ids precede an earlier add's: sort by doc_id
+            merged = merged[:, np.argsort(merged[0], kind="stable")]
+        with self._lock:
+            if d.get(term) is chunks:
+                d[term] = ((merged, 0, merged.shape[1]),)
+        return tuple(merged)
+
+    def df(self, term: str) -> int:
+        """Buffered df of ``term`` over all shards."""
+        return sum(e - s for d in self._runs for _, s, e in d.get(term, ()))
+
+    def term_dfs(self) -> dict[str, int]:
+        """Buffered df of every buffered term."""
+        out: dict[str, int] = {}
+        for d in self._runs:
+            for term, chunks in list(d.items()):
+                out[term] = out.get(term, 0) + sum(e - s for _, s, e in chunks)
+        return out
+
+    def rows(self, ids: list[int]) -> list[dict]:
+        """Fresh metadata row dicts for the buffered ``ids`` among the
+        requested ones (unknown ids skipped, repeats once), in add
+        order — O(hits)."""
+        got = [self._rows[i] for i in {int(i) for i in ids} if i in self._rows]
+        got.sort(key=lambda sr: sr[0])
+        return [dict(row) for _, row in got]
 
 
 def _merge_sorted_disjoint(a_key, b_key, a_payloads, b_payloads):
@@ -154,19 +271,6 @@ def _merge_sorted_disjoint(a_key, b_key, a_payloads, b_payloads):
         o[ia], o[ib] = pa_, pb_
         outs.append(o)
     return key, outs
-
-
-def _lookup_buffered(buf_tables: list, ids: list) -> list[dict]:
-    """Metadata rows for buffered doc_ids (shared by both NRT
-    searchers — serving's metadata join falls back here)."""
-    import pyarrow.compute as pc
-
-    want = sorted(set(int(i) for i in ids))
-    out: list[dict] = []
-    for t in buf_tables:
-        m = pc.is_in(t["doc_id"], value_set=pa.array(want, pa.int64()))
-        out.extend(t.filter(m).to_pylist())
-    return out
 
 
 class DeltaSearcher(_SearcherBase):
@@ -204,10 +308,7 @@ class DeltaSearcher(_SearcherBase):
             from refimage_ray.index.reader import load_doc_universe
 
             self._base_ids = load_doc_universe(index_dir)
-        self._buf_tables: list[pa.Table] = []
-        self._buf: dict[str, tuple] = {}
-        self._buf_ids = np.zeros(0, dtype=np.int64)
-        self._buf_sum_dl = 0
+        self._buf = _PostingBuffer(self._cfg)
         # merged-postings memo: global stats (N, avgdl) only move on
         # add()/flush(), so a term's merged+reweighted postings are
         # immutable between buffer mutations — rebuild-per-query was
@@ -231,7 +332,7 @@ class DeltaSearcher(_SearcherBase):
         if base is None:
             self.all_ids = None
             return
-        b = self._buf_ids
+        b = self._buf.ids
         if not len(b):
             self.all_ids = base
             return
@@ -247,53 +348,40 @@ class DeltaSearcher(_SearcherBase):
         )
 
     def _refresh_stats(self) -> None:
-        self.n_docs = self._base_n + len(self._buf_ids)
-        total = self._base_sum_dl + self._buf_sum_dl
+        self.n_docs = self._base_n + len(self._buf.ids)
+        total = self._base_sum_dl + self._buf.sum_dl
         self.avgdl = total / self.n_docs if self.n_docs else 1.0
 
     def add(self, docs: pa.Table) -> int:
         """Buffer (doc_id, text) rows; they are searchable on return.
-        Doc ids must be new (not in the base artifact or the buffer)."""
-        if not {"doc_id", "text"} <= set(docs.column_names):
-            raise ValueError("add() needs doc_id and text columns")
-        postings, ids, dl = _buffer_postings(docs, self._cfg)
-        clash = ids[np.isin(ids, self._buf_ids) | np.isin(ids, self._base_ids)]
-        if len(clash):
-            raise ValueError(
-                f"doc_ids already indexed or buffered: {clash[:5].tolist()}"
-            )
-        for term, (p_ids, p_tfs, p_dls) in postings.items():
-            have = self._buf.get(term)
-            if have is None:
-                self._buf[term] = (p_ids, p_tfs, p_dls)
-            else:
-                merged = tuple(
-                    np.concatenate((a, b)) for a, b in zip(have, (p_ids, p_tfs, p_dls))
-                )
-                order = np.argsort(merged[0], kind="stable")
-                self._buf[term] = tuple(m[order] for m in merged)
-        self._buf_tables.append(docs)
-        self._buf_ids = np.sort(np.concatenate((self._buf_ids, ids)))
-        self._buf_sum_dl += int(dl.sum())
-        self._tm_cache.clear()  # N/avgdl moved: every weight is stale
+        Doc ids must be new (not in the base artifact or the buffer).
+
+        Costs O(batch), not O(buffer): the batch's postings are
+        appended per term as chunks (:class:`_PostingBuffer`), its
+        metadata rows go into a doc_id map, and the term memo is
+        cleared (advancing its generation) after the merged stats
+        move."""
+        n = self._buf.add(docs, self._base_ids)
         self._rebuild_universe()
         self._refresh_stats()
-        return len(ids)
+        self._tm_cache.clear()  # N/avgdl moved: every weight is stale
+        return n
 
     @property
     def buffered(self) -> int:
-        return len(self._buf_ids)
+        return len(self._buf.ids)
 
     def lookup_buffered(self, ids: list[int]) -> list[dict]:
         """Metadata rows for buffered doc_ids (serving's metadata join
-        falls back here for hits that aren't in the artifact yet)."""
-        return _lookup_buffered(self._buf_tables, ids)
+        falls back here for hits that aren't in the artifact yet):
+        fresh row dicts, in add order, from a doc_id map — O(hits)."""
+        return self._buf.rows(ids)
 
     def flush(self, out_dir: str, cfg=None) -> str:
         """Persist the buffer through the incremental-add lifecycle
         (delta build + shard merge) and clear it.  Returns ``out_dir``
         — reload a DeltaSearcher from there to continue."""
-        if not self._buf_tables:
+        if not self._buf.tables:
             raise ValueError("nothing buffered")
         import ray.data as rd
 
@@ -302,32 +390,33 @@ class DeltaSearcher(_SearcherBase):
 
         add_documents(
             self.index_dir,
-            rd.from_arrow(pa.concat_tables(self._buf_tables, promote_options="default")),
+            rd.from_arrow(pa.concat_tables(self._buf.tables, promote_options="default")),
             out_dir,
             cfg if cfg is not None else DEFAULT_CONFIG,
         )
-        self._buf_tables, self._buf = [], {}
-        self._buf_ids = np.zeros(0, dtype=np.int64)
-        self._buf_sum_dl = 0
-        self._tm_cache.clear()
+        self._buf = _PostingBuffer(self._cfg)
         self._rebuild_universe()
         self._refresh_stats()
+        self._tm_cache.clear()
         return out_dir
 
     # ------------------------------------------------------------------
 
     def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
+        # one consistent snapshot: an add() that lands mid-read bumps
+        # the memo generation, so what this read computed is returned
+        # but never memoized
+        memo = self._tm_cache
+        gen = memo.gen
+        buf, avgdl, all_ids = self._buf, self.avgdl, self.all_ids
         out: dict[str, TermPostings] = {}
         for t in terms:
-            hit = self._tm_cache.get(t)
+            hit = memo.get(t)
             if hit is not None:
                 out[t] = hit
                 continue
             bp = self.base.terms.get(t)
-            buf = self._buf.get(t)
-            if bp is None and buf is None:
-                continue
-            parts_ids, parts_tfs, parts_dls = [], [], []
+            bb = buf.postings(t)
             if bp is not None and bp.df > 0:
                 if bp.dls is None:
                     raise ValueError(
@@ -335,29 +424,23 @@ class DeltaSearcher(_SearcherBase):
                         "the base artifact (dls missing for term "
                         f"{t!r})"
                     )
-                parts_ids.append(bp.doc_ids)
-                parts_tfs.append(bp.tfs)
-                parts_dls.append(bp.dls)
-            if buf is not None:
-                parts_ids.append(buf[0])
-                parts_tfs.append(buf[1])
-                parts_dls.append(buf[2])
-            if len(parts_ids) > 1:
+            else:
+                bp = None
+            if bp is None and bb is None:
+                continue
+            if bp is None:
+                ids, tfs, dls = bb
+            elif bb is None:
+                ids, tfs, dls = bp.doc_ids, bp.tfs, bp.dls
+            else:
                 # both sides arrive doc_id-sorted and disjoint: linear
                 # two-way merge via searchsorted ranks (no argsort of
                 # the full merged stream)
                 ids, (tfs, dls) = _merge_sorted_disjoint(
-                    parts_ids[0], parts_ids[1],
-                    (parts_tfs[0], parts_dls[0]),
-                    (parts_tfs[1], parts_dls[1]),
-                )
-            else:
-                ids = parts_ids[0]
-                tfs = parts_tfs[0]
-                dls = parts_dls[0]
+                    bp.doc_ids, bb[0], (bp.tfs, bp.dls), bb[1:])
             w = bm25_weight(
                 tfs.astype(np.float64), dls.astype(np.float64),
-                self.avgdl, self._k1, self._b,
+                avgdl, self._k1, self._b,
             )
             mx = float(w.max()) if len(w) else 0.0
             tp = TermPostings(
@@ -370,12 +453,12 @@ class DeltaSearcher(_SearcherBase):
                 block_max_weight=np.array([mx], np.float64),
                 dls=dls,
             )
-            if self.all_ids is not None:
-                r = np.searchsorted(self.all_ids, ids)
+            if all_ids is not None:
+                r = np.searchsorted(all_ids, ids)
                 tp.ranks = r.astype(
-                    np.int32 if len(self.all_ids) < 2**31 else np.int64
+                    np.int32 if len(all_ids) < 2**31 else np.int64
                 )
-            self._tm_cache[t] = tp
+            memo.put(t, tp, gen)
             out[t] = tp
         return out
 
@@ -385,13 +468,14 @@ class DeltaSearcher(_SearcherBase):
         from refimage_ray.query.engine import _expand_resident
 
         base_pairs = dict(self.base._expand_pairs(kind, arg))
-        if self._buf:
+        buf_dfs = self._buf.term_dfs()
+        if buf_dfs:
             fake = {
                 t: TermPostings(
-                    df=len(v[0]), doc_ids=v[0], weights=None, tfs=None,
+                    df=df, doc_ids=None, weights=None, tfs=None,
                     max_weight=0.0, block_last_doc=None, block_max_weight=None,
                 )
-                for t, v in self._buf.items()
+                for t, df in buf_dfs.items()
             }
             for t, df in _expand_resident(fake, {}, kind, arg):
                 base_pairs[t] = base_pairs.get(t, 0) + df
@@ -431,39 +515,40 @@ class _DeltaShardWrap(_SearcherBase):
         )
 
     def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
+        # same generation-checked snapshot as DeltaSearcher._term_map
+        owner = self._owner
+        memo = self._cache
+        gen = memo.gen
+        buf, avgdl = owner._buf, owner.avgdl
         out: dict[str, TermPostings] = {}
-        buf = self._owner._shard_buf[self._gkey]
         for t in terms:
-            hit = self._cache.get(t)
+            hit = memo.get(t)
             if hit is not None:
                 out[t] = hit
                 continue
             bp = self._inner._tm.get(t)
-            bb = buf.get(t)
+            if bp is not None and bp.df == 0:
+                bp = None
+            bb = buf.postings(t, self._gkey)
             if bp is None and bb is None:
                 continue
-            parts = []
-            if bp is not None and bp.df > 0:
-                parts.append((bp.doc_ids, bp.tfs, bp.dls))
-            if bb is not None:
-                parts.append(bb)
-            if len(parts) == 2:
-                (a, at, ad), (b, bt, bd) = parts
-                ids, (tfs, dls) = _merge_sorted_disjoint(
-                    a, b, (at, ad), (bt, bd))
+            if bp is None:
+                ids, tfs, dls = bb
+            elif bb is None:
+                ids, tfs, dls = bp.doc_ids, bp.tfs, bp.dls
             else:
-                ids, tfs, dls = parts[0]
+                ids, (tfs, dls) = _merge_sorted_disjoint(
+                    bp.doc_ids, bb[0], (bp.tfs, bp.dls), bb[1:])
             w = bm25_weight(
                 tfs.astype(np.float64), dls.astype(np.float64),
-                self._owner.avgdl, self._owner._k1, self._owner._b,
+                avgdl, owner._k1, owner._b,
             )
             mx = float(w.max()) if len(w) else 0.0
             # idf basis: the UNION-GLOBAL df from the artifact's
             # global terms table + the buffer — NOT bp.df: a buffered
             # doc can land in a shard that holds no base postings for
             # the term, yet the term exists in other base shards
-            gdf = self._owner._base_global_df.get(t, 0) + \
-                self._owner._buf_df.get(t, 0)
+            gdf = owner._base_global_df.get(t, 0) + buf.df(t)
             tp = TermPostings(
                 df=gdf, doc_ids=ids, weights=w,
                 tfs=tfs.astype(np.int64), max_weight=mx,
@@ -471,7 +556,7 @@ class _DeltaShardWrap(_SearcherBase):
                 block_max_weight=np.array([mx], np.float64),
                 dls=dls.astype(np.int64),
             )
-            self._cache[t] = tp
+            memo.put(t, tp, gen)
             out[t] = tp
         return out
 
@@ -513,18 +598,13 @@ class DocPartDeltaSearcher:
             int(f.split("-")[1].split(".")[0])
             for f in man["docshard_files"]
         ]
-        self._shard_buf: dict[int, dict[str, tuple]] = {
-            g: {} for g in range(self._num_doc_shards)
-        }
-        # per-term GLOBAL buffered df (idf basis): shard postings are
-        # slices, but TermPostings.df must be the UNION-global df —
-        # base global df (terms/ table) + buffered docs with the term
-        self._buf_df: dict[str, int] = {}
+        # buffered postings keyed by doc shard; its df is the per-term
+        # GLOBAL buffered df (idf basis): shard postings are slices,
+        # but TermPostings.df must be the UNION-global df — base global
+        # df (terms/ table) + buffered docs with the term
+        self._buf = _PostingBuffer(self._cfg, self._num_doc_shards)
         self._base_global_df: dict = self.base._global_df
         self._base_ids: "np.ndarray | None" = None  # lazy universe
-        self._buf_tables: list[pa.Table] = []
-        self._buf_ids = np.zeros(0, np.int64)
-        self._buf_sum_dl = 0
         self.shards = [
             _DeltaShardWrap(self, v, g)
             for v, g in zip(self.base.shards, self._shard_gkeys)
@@ -532,13 +612,13 @@ class DocPartDeltaSearcher:
         self._refresh_stats()
 
     def _refresh_stats(self) -> None:
-        self.n_docs = self._base_n + len(self._buf_ids)
-        total = self._base_sum_dl + self._buf_sum_dl
+        self.n_docs = self._base_n + len(self._buf.ids)
+        total = self._base_sum_dl + self._buf.sum_dl
         self.avgdl = total / self.n_docs if self.n_docs else 1.0
 
     @property
     def buffered(self) -> int:
-        return len(self._buf_ids)
+        return len(self._buf.ids)
 
     def _base_universe(self) -> np.ndarray:
         """Sorted base doc ids, built lazily ONCE: per shard the
@@ -560,28 +640,24 @@ class DocPartDeltaSearcher:
         return self._base_ids
 
     def add(self, docs: pa.Table) -> int:
-        """Buffer rows; searchable on return.  Doc ids must be new —
-        checked against the buffer AND the base artifact's doc
-        universe (a duplicate id would collide the disjoint-merge's
-        output slots → duplicate hits with garbage scores).
+        """Buffer rows; searchable on return, at O(batch) cost (see
+        :class:`_PostingBuffer`).  Doc ids must be new — checked
+        against the buffer AND the base artifact's doc universe (a
+        duplicate id would collide the disjoint-merge's output slots →
+        duplicate hits with garbage scores).
 
         A buffered doc whose hash shard wrote NO base file would need
         a fresh empty shard view; that only happens on pathological
         many-shards-few-docs layouts, so it raises loudly instead."""
+        n = self._buf.add(docs, self._base_universe(), self._shards_of)
+        self._refresh_stats()
+        for sh in self.shards:
+            sh._cache.clear()
+        return n
+
+    def _shards_of(self, ids: np.ndarray) -> np.ndarray:
         from refimage_ray.index.docpart import _doc_shard_of
 
-        if not {"doc_id", "text"} <= set(docs.column_names):
-            raise ValueError("add() needs doc_id and text columns")
-        postings, ids, dl = _buffer_postings(docs, self._cfg)
-        clash = ids[
-            np.isin(ids, self._buf_ids)
-            | np.isin(ids, self._base_universe())
-        ]
-        if len(clash):
-            raise ValueError(
-                f"doc_ids already indexed or buffered: "
-                f"{clash[:5].tolist()}"
-            )
         gk = _doc_shard_of(ids, self._num_doc_shards)
         missing = set(np.unique(gk).tolist()) - set(self._shard_gkeys)
         if missing:
@@ -590,38 +666,16 @@ class DocPartDeltaSearcher:
                 f"{sorted(missing)}; rebuild with fewer doc shards or "
                 "flush through the lifecycle instead"
             )
-        for term, (p_ids, p_tfs, p_dls) in postings.items():
-            self._buf_df[term] = self._buf_df.get(term, 0) + len(p_ids)
-            pg = _doc_shard_of(p_ids, self._num_doc_shards)
-            for g in np.unique(pg):
-                m = pg == g
-                add_t = (p_ids[m], p_tfs[m], p_dls[m])
-                buf = self._shard_buf[int(g)]
-                have = buf.get(term)
-                if have is None:
-                    buf[term] = add_t
-                else:
-                    merged = tuple(
-                        np.concatenate((a, b))
-                        for a, b in zip(have, add_t)
-                    )
-                    o = np.argsort(merged[0], kind="stable")
-                    buf[term] = tuple(m_[o] for m_ in merged)
-        self._buf_tables.append(docs)
-        self._buf_ids = np.sort(np.concatenate((self._buf_ids, ids)))
-        self._buf_sum_dl += int(dl.sum())
-        for sh in self.shards:
-            sh._cache.clear()
-        self._refresh_stats()
-        return len(ids)
+        return gk
 
     def lookup_buffered(self, ids: list[int]) -> list[dict]:
-        return _lookup_buffered(self._buf_tables, ids)
+        """Same contract as :meth:`DeltaSearcher.lookup_buffered`."""
+        return self._buf.rows(ids)
 
     def flush(self, out_dir: str, cfg=None) -> str:
         """Persist through the docpart incremental-add lifecycle and
         clear the buffer."""
-        if not self._buf_tables:
+        if not self._buf.tables:
             raise ValueError("nothing buffered")
         import ray.data as rd
 
@@ -632,17 +686,13 @@ class DocPartDeltaSearcher:
         add_documents_docpart(
             self.index_dir,
             rd.from_arrow(pa.concat_tables(
-                self._buf_tables, promote_options="default")),
+                self._buf.tables, promote_options="default")),
             out_dir,
         )
-        self._buf_tables = []
-        self._buf_ids = np.zeros(0, np.int64)
-        self._buf_sum_dl = 0
-        self._buf_df = {}
-        self._shard_buf = {g: {} for g in range(self._num_doc_shards)}
+        self._buf = _PostingBuffer(self._cfg, self._num_doc_shards)
+        self._refresh_stats()
         for sh in self.shards:
             sh._cache.clear()
-        self._refresh_stats()
         return out_dir
 
     # --- scatter surface (same merge discipline as DocPartSearcher) ---

@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ray.data as rd
 
@@ -384,3 +386,328 @@ def test_lru_term_memo_thread_safety():
     for t in threads:
         t.join()
     assert not errors
+
+
+# ---------------------------------------------------------------------------
+# Append-only posting buffer: add order, read/add races, tokenizer parity
+# ---------------------------------------------------------------------------
+
+LAYOUTS = ["term", "docpart"]
+
+
+def _delta_factory(layout, nrt_setup, docpart_nrt_setup):
+    """(make() → fresh NRT searcher on the 180-doc base, base docs,
+    buffer docs) for one layout."""
+    from refimage_ray.query.nrt import DocPartDeltaSearcher
+
+    if layout == "term":
+        base_dir, _, a, b = nrt_setup
+        return (lambda: DeltaSearcher(base_dir)), a, b
+    base_dir, _, _, a, b = docpart_nrt_setup
+    return (lambda: DocPartDeltaSearcher(base_dir)), a, b
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_nrt_read_overlapping_add_does_not_pin_stale_postings(
+    layout, nrt_setup, docpart_nrt_setup, monkeypatch
+):
+    """An add() that lands while a read is weighting a term's merged
+    postings clears the memo before the read stores its result; the
+    stored result (old N/avgdl) must be dropped, so later reads equal a
+    fresh searcher given the same adds."""
+    import refimage_ray.query.nrt as nrt
+
+    make, _, b = _delta_factory(layout, nrt_setup, docpart_nrt_setup)
+    first, second = b.slice(0, 10), b.slice(10)
+    d = make()
+    d.add(first)
+    real = nrt.bm25_weight
+    fired = []
+
+    def add_mid_read(*args):
+        if not fired:
+            fired.append(True)
+            d.add(second)
+        return real(*args)
+
+    monkeypatch.setattr(nrt, "bm25_weight", add_mid_read)
+    d.search("the", k=25)
+    monkeypatch.setattr(nrt, "bm25_weight", real)
+    assert fired
+    fresh = make()
+    fresh.add(first)
+    fresh.add(second)
+    for q in ("the", "the data join"):
+        assert d.search(q, k=25) == fresh.search(q, k=25), q
+
+
+def test_lru_term_memo_put_drops_stale_generation():
+    from refimage_ray.query.nrt import _LRUTermMemo
+
+    m = _LRUTermMemo(cap=4)
+    gen = m.gen
+    m.put("a", 1, gen)
+    assert m.get("a") == 1
+    m.clear()                    # an add/flush between snapshot and store
+    m.put("b", 2, gen)
+    assert m.get("b") is None and len(m) == 0
+    m.put("b", 2, m.gen)
+    assert m.get("b") == 2
+
+
+_PARITY_TEXT = st.text(
+    alphabet=st.sampled_from(list("abcs 19.,-\nÉéßİZ中")), max_size=40
+)
+_PARITY_CFGS = [
+    EngineConfig(),
+    EngineConfig(term_filter="s_stem"),
+    EngineConfig(token_pattern="[a-z]+"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(_PARITY_TEXT, max_size=6),
+       seed=st.integers(0, 2**32 - 1),
+       cfg_i=st.integers(0, len(_PARITY_CFGS) - 1))
+def test_nrt_batch_postings_match_tokenize_batch(texts, seed, cfg_i):
+    """The NRT add path tokenizes without tokenize_batch (no term hash,
+    no Acero group_by); its (term, doc_id, tf, dl) rows must equal the
+    build tokenizer's as a multiset, with dl from doc_lengths, and
+    come out doc_id-sorted per term."""
+    from collections import Counter
+
+    from refimage_ray.query.nrt import _PostingBuffer
+    from refimage_ray.stages.tokenize import doc_lengths, tokenize_batch
+
+    cfg = _PARITY_CFGS[cfg_i]
+    ids = np.random.default_rng(seed).choice(10**6, len(texts), replace=False)
+    table = pa.table({"doc_id": pa.array(ids, pa.int64()),
+                      "text": pa.array(texts, pa.string())})
+    buf = _PostingBuffer(cfg)
+    assert buf.add(table, np.zeros(0, np.int64)) == len(texts)
+    got: Counter = Counter()
+    for term in list(buf._runs[0]):
+        p_ids, p_tfs, p_dls = buf.postings(term)
+        assert np.all(np.diff(p_ids) > 0)
+        assert p_ids.dtype == p_tfs.dtype == p_dls.dtype == np.int64
+        got.update(zip([term] * len(p_ids), p_ids.tolist(),
+                       p_tfs.tolist(), p_dls.tolist()))
+    toks = tokenize_batch(table, cfg)
+    want = Counter(zip(*(toks[c].to_pylist()
+                         for c in ("term", "doc_id", "tf", "dl"))))
+    assert got == want
+    dl = dict(zip(ids.tolist(), doc_lengths(table["text"], cfg).tolist()))
+    assert all(dl[i] == d for _, i, _, d in got)
+    assert buf.sum_dl == sum(dl.values())
+    assert buf.ids.tolist() == sorted(ids.tolist())
+
+
+@pytest.fixture(scope="module")
+def interleaved_setup(ray_session, tiny_docs, tmp_path_factory, nrt_setup,
+                      docpart_nrt_setup):
+    """Bases whose doc ids interleave with the buffered ones (every
+    fifth doc is held back; the doc shard is a function of doc_id mod
+    4, so every shard keeps base docs), beside the full rebuilds over
+    all docs."""
+    from refimage_ray.index.docpart import (
+        DocPartSearcher,
+        build_doc_partitioned,
+    )
+
+    root = tmp_path_factory.mktemp("nrt_interleaved")
+    held = tiny_docs["doc_id"].to_numpy() % 5 == 2
+    a = tiny_docs.filter(pa.array(~held))
+    b = tiny_docs.filter(pa.array(held)).select(["doc_id", "text"])
+    tdir, ddir = str(root / "term"), str(root / "docpart")
+    build_index(rd.from_arrow(a), tdir, CFG)
+    build_doc_partitioned(rd.from_arrow(a), ddir, CFG, num_doc_shards=4)
+    return {
+        "term": (tdir, LocalSearcher(tdir), LocalSearcher(nrt_setup[1])),
+        "docpart": (ddir, DocPartSearcher(ddir),
+                    DocPartSearcher(docpart_nrt_setup[1])),
+        "b": b,
+    }
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cuts=st.integers(0, 6))
+def test_nrt_random_add_sequences_match_single_add_and_rebuild(
+    interleaved_setup, layout, seed, n_cuts
+):
+    """Any split of the buffered docs into adds, in any order (ids
+    non-monotonic across and within batches, interleaved with the
+    base's), is bitwise equal to one add of their concatenation and to
+    a full rebuild — search, count and term expansion."""
+    from refimage_ray.query.nrt import DocPartDeltaSearcher
+
+    base_dir, base, full = interleaved_setup[layout]
+    cls = DeltaSearcher if layout == "term" else DocPartDeltaSearcher
+    b = interleaved_setup["b"]
+    rng = np.random.default_rng(seed)
+    shuffled = b.take(pa.array(rng.permutation(b.num_rows)))
+    cuts = np.sort(rng.choice(np.arange(1, b.num_rows), n_cuts, replace=False))
+    bounds = [0, *cuts.tolist(), b.num_rows]
+    seq = cls(base_dir, base=base)
+    for s, e in zip(bounds, bounds[1:]):
+        assert seq.add(shuffled.slice(s, e - s)) == e - s
+    one = cls(base_dir, base=base)
+    one.add(shuffled)
+    assert seq.buffered == one.buffered == b.num_rows
+    assert seq.n_docs == one.n_docs == full.n_docs
+    for q in QUERIES:
+        for mode in ("or", "and"):
+            want = full.search(q, k=40, mode=mode)
+            assert seq.search(q, k=40, mode=mode) == want, (q, mode)
+            assert one.search(q, k=40, mode=mode) == want, (q, mode)
+        assert seq.count(q) == one.count(q) == full.count(q), q
+    if layout == "term":
+        for kind, arg in (("prefix", "s"), ("fuzzy", "spark"),
+                          ("wildcard", "da*a")):
+            want = full._expand_pairs(kind, arg)
+            assert seq._expand_pairs(kind, arg) == want, (kind, arg)
+            assert one._expand_pairs(kind, arg) == want, (kind, arg)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_nrt_batch_of_empty_docs(layout, nrt_setup, docpart_nrt_setup):
+    """Docs without a single token are buffered (N moves, Σdl does
+    not) and never match; the results equal one add of everything."""
+    make, _, b = _delta_factory(layout, nrt_setup, docpart_nrt_setup)
+    empty = pa.table({"doc_id": pa.array([10**9 + 3, 10**9 + 1], pa.int64()),
+                      "text": pa.array(["", " ,;! -- "])})
+    only = make()
+    before = only.n_docs, only.avgdl
+    assert only.add(empty) == 2
+    assert only.buffered == 2 and only.n_docs == before[0] + 2
+    assert only.avgdl < before[1]
+    for q in QUERIES:
+        assert not {d for d, _ in only.search(q, k=10**6)} & {10**9 + 1, 10**9 + 3}
+    d = make()
+    d.add(empty)
+    d.add(b.select(["doc_id", "text"]))
+    one = make()
+    one.add(pa.concat_tables([b.select(["doc_id", "text"]), empty]))
+    assert d.n_docs == one.n_docs and d.avgdl == one.avgdl
+    for q in QUERIES:
+        for mode in ("or", "and"):
+            assert d.search(q, k=40, mode=mode) == one.search(q, k=40, mode=mode)
+        assert d.count(q) == one.count(q)
+    assert [r["doc_id"] for r in d.lookup_buffered([10**9 + 1, 10**9 + 3])] \
+        == [10**9 + 3, 10**9 + 1]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_nrt_lookup_buffered_add_order_and_fresh_rows(
+    layout, nrt_setup, docpart_nrt_setup
+):
+    make, a, b = _delta_factory(layout, nrt_setup, docpart_nrt_setup)
+    late, early = b.slice(5, 3), b.slice(0, 2)
+    d = make()
+    d.add(late)
+    d.add(early)
+    added = late.to_pylist() + early.to_pylist()
+    e_ids, l_ids = early["doc_id"].to_pylist(), late["doc_id"].to_pylist()
+    base_id = a["doc_id"][0].as_py()
+    req = [e_ids[1], -1, l_ids[2], base_id, e_ids[1], l_ids[0], 10**15]
+    want = [r for r in added if r["doc_id"] in set(req)]
+    got = d.lookup_buffered(req)
+    # add order (not request or id order), repeats once, unknown and
+    # base ids skipped, every column of the added rows
+    assert got == want
+    assert [r["doc_id"] for r in got] == [l_ids[0], l_ids[2], e_ids[1]]
+    got[0]["text"] = "mutated"
+    got[0]["doc_id"] = -7
+    got[1].clear()
+    assert d.lookup_buffered(req) == want
+    assert d.lookup_buffered([]) == []
+    assert d.lookup_buffered([base_id, -1]) == []
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_nrt_flush_leaves_empty_buffer_for_later_adds(
+    layout, nrt_setup, docpart_nrt_setup, tmp_path
+):
+    make, _, b = _delta_factory(layout, nrt_setup, docpart_nrt_setup)
+    first, second = b.slice(0, 30), b.slice(30)
+    d = make()
+    plain = make()
+    d.add(first)
+    if layout == "term":
+        d.flush(str(tmp_path / "flushed"), CFG)
+    else:
+        d.flush(str(tmp_path / "flushed"))
+    assert d.buffered == 0
+    assert d.n_docs == plain.n_docs and d.avgdl == plain.avgdl
+    assert d.lookup_buffered(first["doc_id"].to_pylist()) == []
+    for q in QUERIES:
+        assert d.search(q, k=25) == plain.search(q, k=25), q
+    # this searcher still serves the pre-flush base, so the flushed
+    # ids are new to it and may be buffered again
+    d.add(second)
+    d.add(first)
+    fresh = make()
+    fresh.add(second)
+    fresh.add(first)
+    assert d.buffered == fresh.buffered == b.num_rows
+    for q in QUERIES:
+        for mode in ("or", "and"):
+            assert d.search(q, k=40, mode=mode) == fresh.search(q, k=40, mode=mode)
+        assert d.count(q) == fresh.count(q)
+    ids = b["doc_id"].to_pylist()
+    assert d.lookup_buffered(ids) == fresh.lookup_buffered(ids)
+
+
+def test_posting_buffer_merge_never_loses_a_concurrent_add(tiny_docs):
+    """Readers merging a term's chunks race a writer appending new
+    chunks for the same terms; a merge that installed over an append
+    would drop that batch's postings.  After the race every term's
+    postings must equal a buffer filled serially."""
+    import sys
+    import threading
+
+    from refimage_ray.query.nrt import _PostingBuffer
+
+    docs = tiny_docs.select(["doc_id", "text"])
+    batches = [docs.slice(i, 3) for i in range(0, docs.num_rows, 3)]
+    none = np.zeros(0, np.int64)
+    ref = _PostingBuffer(CFG)
+    for t in batches:
+        ref.add(t, none)
+    terms = sorted(ref._runs[0])
+    hot = ["the", "a", "data", "of", "to", "and", "query", "join"]
+    buf = _PostingBuffer(CFG)
+    done = threading.Event()
+    errors = []
+
+    def reader():
+        try:
+            while not done.is_set():
+                for term in hot:
+                    got = buf.postings(term)
+                    if got is not None and np.any(np.diff(got[0]) <= 0):
+                        errors.append(f"unsorted postings for {term!r}")
+        except Exception as err:  # noqa: BLE001 — reported below
+            errors.append(err)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for t in batches:
+            buf.add(t, none)
+        done.set()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors[:3]
+    assert sorted(buf._runs[0]) == terms
+    for term in terms:
+        want, got = ref.postings(term), buf.postings(term)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g), term
