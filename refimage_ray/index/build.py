@@ -65,6 +65,8 @@ from refimage_ray.index.manifest import (
     save_manifest,
     save_metrics,
 )
+from refimage_ray.index.reader import encode_term_runs, run_bounds
+from refimage_ray.query.scorer import bm25_weight
 from refimage_ray.stages.tokenize import doc_stats_batch, tokenize_batch
 
 INDEX_SCHEMA = pa.schema(
@@ -118,8 +120,8 @@ def _encode_and_write(
     cfg: EngineConfig,
     avgdl: float,
     gkey: int,
-    term_list: list[str],
-    hashes: np.ndarray,
+    terms: pa.Array,
+    term_hashes: np.ndarray,
     doc_ids: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
@@ -128,76 +130,26 @@ def _encode_and_write(
     raw_bytes: int,
     positions: "np.ndarray | None" = None,
 ) -> pa.Table:
-    """Shared reducer core: (hash, doc)-sorted posting arrays + term
-    run boundaries → encoded partition file + manifest row.  Used by
-    both the row-wise and the packed shuffle paths, so the artifact is
-    byte-identical regardless of path."""
-    from refimage_ray.functions.codec import (
-        delta_encode,
-        encode_f64,
-        varbyte_encode,
-    )
-
+    """Term-layout partition writer: (term, doc)-sorted posting arrays
+    + term runs (``terms``/``term_hashes`` one per run) → one encoded
+    partition file + its manifest row.  The row-wise and packed
+    reducers and ``lifecycle.merge_indexes`` all write through it, and
+    the columns come from the one encoder, ``reader.encode_term_runs``,
+    so the artifact bytes cannot depend on the path."""
     shard, salt = divmod(gkey, cfg.salt_buckets)
-    n = len(hashes)
-    dls_int = dls.astype(np.int64)
     # BM25 term-frequency impact, float64 (see module docstring)
-    weights = tfs / (tfs + cfg.k1 * (1.0 - cfg.b + cfg.b * dls_int.astype(np.float64) / avgdl))
-
-    bsz = cfg.block_size
-    keys = [
-        "term", "term_hash", "df", "doc_ids", "tfs", "dls", "weights",
-        "max_weight", "block_max_weight", "block_last_doc",
-    ]
-    if positions is not None:
-        keys.append("positions")
-        pos_off = np.concatenate(([0], np.cumsum(tfs.astype(np.int64))))
-    out = {k: [] for k in keys}
-    for ri, (s, e) in enumerate(zip(starts, ends)):
-        ids = doc_ids[s:e]
-        w = weights[s:e]
-        tf_run = tfs[s:e]
-        nb = np.arange(s, e, bsz)
-        blk_last = ids[np.minimum(nb + bsz - 1, e - 1) - s]
-        blk_max = np.maximum.reduceat(w, nb - s)
-        out["term"].append(term_list[ri])
-        out["term_hash"].append(int(hashes[s]))
-        out["df"].append(int(e - s))
-        out["doc_ids"].append(varbyte_encode(delta_encode(ids.astype(np.uint64))))
-        out["tfs"].append(varbyte_encode(tf_run.astype(np.uint64)))
-        out["dls"].append(varbyte_encode(dls_int[s:e].astype(np.uint64)))
-        out["weights"].append(encode_f64(w))
-        out["max_weight"].append(float(w.max()))
-        out["block_max_weight"].append(blk_max.tolist())
-        out["block_last_doc"].append(blk_last.tolist())
-        if positions is not None:
-            out["positions"].append(
-                varbyte_encode(
-                    positions[pos_off[s]:pos_off[e]].astype(np.uint64)
-                )
-            )
-
-    table = pa.table(
-        {
-            "term": pa.array(out["term"], pa.string()),
-            "term_hash": pa.array(out["term_hash"], pa.uint64()),
-            "shard": pa.array([shard] * len(starts), pa.int32()),
-            "salt": pa.array([salt] * len(starts), pa.int32()),
-            "df": pa.array(out["df"], pa.int64()),
-            "doc_ids": pa.array(out["doc_ids"], pa.binary()),
-            "tfs": pa.array(out["tfs"], pa.binary()),
-            "dls": pa.array(out["dls"], pa.binary()),
-            "weights": pa.array(out["weights"], pa.binary()),
-            "max_weight": pa.array(out["max_weight"], pa.float64()),
-            "block_max_weight": pa.array(out["block_max_weight"], pa.list_(pa.float64())),
-            "block_last_doc": pa.array(out["block_last_doc"], pa.list_(pa.int64())),
-            **(
-                {"positions": pa.array(out["positions"], pa.binary())}
-                if positions is not None
-                else {}
-            ),
-        }
+    weights = bm25_weight(tfs, dls.astype(np.float64), avgdl, cfg.k1, cfg.b)
+    cols = encode_term_runs(
+        starts, ends, doc_ids, tfs, dls, weights, cfg.block_size, positions
     )
+    n_runs = len(starts)
+    table = pa.table({
+        "term": terms,
+        "term_hash": pa.array(term_hashes, pa.uint64()),
+        "shard": pa.array(np.full(n_runs, shard, np.int32)),
+        "salt": pa.array(np.full(n_runs, salt, np.int32)),
+        **{k: cols[k] for k in (*INDEX_SCHEMA.names[4:], "positions") if k in cols},
+    })
     fname = part_filename(shard, salt)
     path = os.path.join(index_dir, fname)
     import io
@@ -212,7 +164,7 @@ def _encode_and_write(
             "shard": pa.array([int(shard)], pa.int64()),
             "salt": pa.array([int(salt)], pa.int64()),
             "n_terms": pa.array([table.num_rows], pa.int64()),
-            "n_postings": pa.array([int(n)], pa.int64()),
+            "n_postings": pa.array([len(doc_ids)], pa.int64()),
             "raw_bytes": pa.array([raw_bytes], pa.int64()),
             "file_bytes": pa.array([len(buf.getvalue())], pa.int64()),
             "path": pa.array([fname], pa.string()),
@@ -223,7 +175,7 @@ def _encode_and_write(
 class BuildPartition:
     """Row-wise reducer: one (shard, salt) group of posting rows →
     one parquet file.  Numeric (term_hash, doc_id) sort; term strings
-    materialized only at run starts."""
+    taken only at run starts."""
 
     def __init__(self, index_dir: str, cfg: EngineConfig, avgdl: float) -> None:
         self.index_dir = index_dir
@@ -234,19 +186,15 @@ class BuildPartition:
         gkey = int(group["gkey"][0].as_py())
         raw_bytes = int(group.nbytes)
         t = group.sort_by([("term_hash", "ascending"), ("doc_id", "ascending")])
-        terms = t["term"].combine_chunks()
         hashes = t["term_hash"].to_numpy(zero_copy_only=False)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tfs = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dls = t["dl"].to_numpy(zero_copy_only=False).astype(np.float64)
-        n = len(hashes)
-        changes = np.flatnonzero(hashes[1:] != hashes[:-1]) + 1
-        starts = np.concatenate(([0], changes))
-        ends = np.concatenate((changes, [n]))
-        term_list = pc.take(terms, pa.array(starts, pa.int64())).to_pylist()
+        starts, ends = run_bounds(hashes)
+        terms = t["term"].combine_chunks().take(pa.array(starts))
         return _encode_and_write(
-            self.index_dir, self.cfg, self.avgdl, gkey, term_list,
-            hashes, doc_ids, tfs, dls, starts, ends, raw_bytes,
+            self.index_dir, self.cfg, self.avgdl, gkey, terms, hashes[starts],
+            t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+            t["tf"].to_numpy(zero_copy_only=False).astype(np.int64),
+            t["dl"].to_numpy(zero_copy_only=False).astype(np.int64),
+            starts, ends, raw_bytes,
         )
 
 
@@ -267,22 +215,18 @@ class PackedBuildPartition:
         self.universe_ref = universe_ref
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        from refimage_ray.index.pack import unpack_group
+        from refimage_ray.index.pack import lookup_terms, unpack_group
 
         gkey = int(group["gkey"][0].as_py())
         raw_bytes = int(group.nbytes)
         universe = ray.get(self.universe_ref) if self.universe_ref is not None else None
         th, doc, tf, dl, lookup, positions = unpack_group(group, universe)
-        n = len(th)
-        changes = np.flatnonzero(th[1:] != th[:-1]) + 1
-        starts = np.concatenate(([0], changes))
-        ends = np.concatenate((changes, [n]))
-        term_list = [lookup[int(th[s])] for s in starts]
+        starts, ends = run_bounds(th)
         return _encode_and_write(
-            self.index_dir, self.cfg, self.avgdl, gkey, term_list,
-            th, doc.astype(np.int64), tf.astype(np.int64),
-            dl.astype(np.float64), starts, ends, raw_bytes,
-            positions=positions,
+            self.index_dir, self.cfg, self.avgdl, gkey,
+            lookup_terms(lookup, th[starts]), th[starts],
+            doc.astype(np.int64), tf.astype(np.int64), dl.astype(np.int64),
+            starts, ends, raw_bytes, positions=positions,
         )
 
 
@@ -329,7 +273,8 @@ def _side_bands_meta(side_dir: str) -> list[tuple[str, float, float]] | None:
     path = os.path.join(side_dir, "_RATE")
     if not os.path.exists(path):
         return None
-    raw = open(path).read()
+    with open(path) as f:
+        raw = f.read()
     try:
         meta = json.loads(raw)
         return [(b["tag"], float(b["lo"]), float(b["hi"]))
@@ -1142,7 +1087,7 @@ def build_index(
         # RANKS + no dl column through the shuffle — ~2 B/posting doc
         # deltas instead of 6-8 B for 63-bit hash ids (see pack.py)
         universe_ref = None
-        if narrow_local and os.environ.get("REFIMAGE_RANK_EXCHANGE", "1") != "0":
+        if narrow_local:
             u_order = np.argsort(ids, kind="stable")
             universe_ref = ray.put(
                 (ids[u_order], dls[u_order].astype(np.int32))
@@ -1160,10 +1105,9 @@ def build_index(
 
         # Larger pack batches emit fewer, bigger combined rows through
         # the exchange (pack-row count ~ n_batches x live_gkeys); the
-        # default was chosen by the bench sweep in BENCH/BASELINE.md.
-        pack_rows = int(os.environ.get("REFIMAGE_PACK_BATCH", "16384"))
+        # size was chosen by the bench sweep in BENCH/BASELINE.md.
         shuffled_in = corpus.map_batches(
-            pack, batch_format="pyarrow", batch_size=pack_rows
+            pack, batch_format="pyarrow", batch_size=16384
         )
         builder = PackedBuildPartition(index_dir, cfg, avgdl, universe_ref)
     else:

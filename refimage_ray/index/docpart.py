@@ -37,7 +37,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -45,15 +44,15 @@ import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
-from refimage_ray.functions.codec import (
-    encode_f64,
-    encode_postings,
-    slice_varbyte,
-    varbyte_encode,
-    varbyte_encode_with_offsets,
-)
 from refimage_ray.index.manifest import atomic_write_bytes
-from refimage_ray.index.pack import PACK_SCHEMA, unpack_group
+from refimage_ray.index.pack import lookup_terms, pack_postings, unpack_group
+from refimage_ray.index.reader import (
+    TermPostings,
+    attach_ranks,
+    decode_term_runs,
+    encode_term_runs,
+    run_bounds,
+)
 from refimage_ray.query.scorer import bm25_weight
 from refimage_ray.stages.tokenize import doc_stats_batch, tokenize_batch
 
@@ -87,85 +86,23 @@ def _doc_shard_of(doc_ids: np.ndarray, num_doc_shards: int) -> np.ndarray:
 
 def _pack_docshard(batch: pa.Table, cfg: EngineConfig, num_doc_shards: int) -> pa.Table:
     """docs batch → packed posting rows keyed by DOC shard (map-side
-    combiner; same blob format as ``index/pack.py`` so the reducer can
-    reuse ``unpack_group``)."""
+    combiner; ``index/pack.py``'s core and blob format, so the reducer
+    reuses ``unpack_group``)."""
     toks = tokenize_batch(batch, cfg)
-    with_pos = "pos" in toks.column_names
-    if toks.num_rows == 0:
-        if with_pos:
-            return PACK_SCHEMA.append(pa.field("posb", pa.binary())).empty_table()
-        return PACK_SCHEMA.empty_table()
-    th = toks["term_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
     doc = toks["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    tf = toks["tf"].to_numpy(zero_copy_only=False).astype(np.int32)
-    dl = toks["dl"].to_numpy(zero_copy_only=False).astype(np.int32)
-    gkey = _doc_shard_of(doc, num_doc_shards)
-    order = np.lexsort((doc, th, gkey))
-    gs, ths, docs_, tfs, dls = gkey[order], th[order], doc[order], tf[order], dl[order]
-    pos_perm = pos_offsets = None
-    if with_pos:
-        # positions ride the shuffle exactly as in pack.pack_batch:
-        # flat int32 per posting run, permuted with the posting sort
-        from refimage_ray.index.pack import ragged_take
+    return pack_postings(toks, _doc_shard_of(doc, num_doc_shards))
 
-        pos_flat = pc.list_flatten(
-            toks["pos"].combine_chunks()
-        ).to_numpy(zero_copy_only=False).astype(np.int32)
-        pos_perm = ragged_take(pos_flat, tf.astype(np.int64), order)
-        pos_offsets = np.concatenate(([0], np.cumsum(tfs.astype(np.int64))))
-    terms = toks["term"].combine_chunks()
-    changes = np.flatnonzero(gs[1:] != gs[:-1]) + 1
-    starts = np.concatenate(([0], changes))
-    ends = np.concatenate((changes, [len(gs)]))
-    run_start_mask = np.zeros(len(gs), dtype=bool)
-    run_start_mask[0] = True
-    run_start_mask[1:] = (ths[1:] != ths[:-1]) | (gs[1:] != gs[:-1])
-    doc_delta = docs_.copy()
-    doc_delta[1:] -= docs_[:-1]
-    doc_delta[run_start_mask] = docs_[run_start_mask]
-    # encode each varbyte column ONCE per batch and byte-slice per
-    # gkey (same pattern — and same codec helpers — as pack_batch in
-    # index/pack.py; varbyte is per-value independent, so a slice of
-    # the full encoding equals encoding the slice)
-    run_starts_idx = np.flatnonzero(run_start_mask)
-    run_lens_all = np.diff(np.concatenate((run_starts_idx, [len(gs)])))
-    docd_buf, docd_ends = varbyte_encode_with_offsets(doc_delta.astype(np.uint64))
-    tf_buf, tf_ends = varbyte_encode_with_offsets(tfs.astype(np.uint64))
-    dl_buf, dl_ends = varbyte_encode_with_offsets(dls.astype(np.uint64))
-    rl_buf, rl_ends = varbyte_encode_with_offsets(run_lens_all.astype(np.uint64))
-    cols: dict[str, list] = {
-        k: [] for k in (list(PACK_SCHEMA.names) + (["posb"] if with_pos else []))
-    }
-    for s, e in zip(starts, ends):
-        r0 = int(np.searchsorted(run_starts_idx, s))
-        r1 = int(np.searchsorted(run_starts_idx, e))
-        dict_idx = order[run_starts_idx[r0:r1]]
-        dict_terms = pc.take(terms, pa.array(dict_idx, pa.int64())).to_pylist()
-        cols["gkey"].append(int(gs[s]))
-        cols["n"].append(int(e - s))
-        cols["rlen"].append(slice_varbyte(rl_buf, rl_ends, r0, r1))
-        cols["docd"].append(slice_varbyte(docd_buf, docd_ends, s, e))
-        cols["tf"].append(slice_varbyte(tf_buf, tf_ends, s, e))
-        cols["dl"].append(slice_varbyte(dl_buf, dl_ends, s, e))
-        cols["dict_hash"].append(ths[run_starts_idx[r0:r1]].tobytes())
-        cols["dict_terms"].append("\n".join(dict_terms))
-        if with_pos:
-            cols["posb"].append(
-                pos_perm[pos_offsets[s]:pos_offsets[e]].tobytes()
-            )
-    out = {
-        "gkey": pa.array(cols["gkey"], pa.int64()),
-        "n": pa.array(cols["n"], pa.int32()),
-        "rlen": pa.array(cols["rlen"], pa.binary()),
-        "docd": pa.array(cols["docd"], pa.binary()),
-        "tf": pa.array(cols["tf"], pa.binary()),
-        "dl": pa.array(cols["dl"], pa.binary()),
-        "dict_hash": pa.array(cols["dict_hash"], pa.binary()),
-        "dict_terms": pa.array(cols["dict_terms"], pa.string()),
-    }
-    if with_pos:
-        out["posb"] = pa.array(cols["posb"], pa.binary())
-    return pa.table(out)
+
+def _shard_table(terms: pa.Array, hashes: np.ndarray, cols: dict) -> pa.Table:
+    """A doc-shard file's table, one row per term: the posting columns
+    of ``reader.encode_term_runs`` (positions only when encoded)."""
+    return pa.table({
+        "term": terms,
+        "term_hash": pa.array(hashes, pa.uint64()),
+        "df_local": cols["df"],
+        **{k: cols[k] for k in ("doc_ids", "tfs", "dls", "weights", "max_weight",
+                                "positions") if k in cols},
+    })
 
 
 class _BuildDocShard:
@@ -181,49 +118,17 @@ class _BuildDocShard:
     def __call__(self, group: pa.Table) -> pa.Table:
         shard = int(group["gkey"][0].as_py())
         th, doc, tf, dl, lookup, pos = unpack_group(group)
-        n = len(th)
-        changes = np.flatnonzero(th[1:] != th[:-1]) + 1
-        starts = np.concatenate(([0], changes))
-        ends = np.concatenate((changes, [n]))
+        starts, ends = run_bounds(th)
         w = bm25_weight(
             tf.astype(np.float64), dl.astype(np.float64), self.avgdl,
             self.cfg.k1, self.cfg.b,
         )
-        names = ["term", "term_hash", "df_local", "doc_ids",
-                 "tfs", "dls", "weights", "max_weight"]
-        if pos is not None:
-            names.append("positions")
-            po = np.concatenate(([0], np.cumsum(tf.astype(np.int64))))
-        out = {k: [] for k in names}
-        for s, e in zip(starts, ends):
-            out["term"].append(lookup[int(th[s])])
-            out["term_hash"].append(int(th[s]))
-            out["df_local"].append(int(e - s))
-            out["doc_ids"].append(encode_postings(doc[s:e]))
-            out["tfs"].append(varbyte_encode(tf[s:e].astype(np.uint64)))
-            out["dls"].append(varbyte_encode(dl[s:e].astype(np.uint64)))
-            out["weights"].append(encode_f64(w[s:e]))
-            out["max_weight"].append(float(w[s:e].max()))
-            if pos is not None:
-                # same column name + varbyte codec as the term-
-                # partitioned partition files (index/build.py), so the
-                # shard reader decodes identically
-                out["positions"].append(
-                    varbyte_encode(pos[po[s]:po[e]].astype(np.uint64))
-                )
-        table_cols = {
-            "term": pa.array(out["term"], pa.string()),
-            "term_hash": pa.array(out["term_hash"], pa.uint64()),
-            "df_local": pa.array(out["df_local"], pa.int64()),
-            "doc_ids": pa.array(out["doc_ids"], pa.binary()),
-            "tfs": pa.array(out["tfs"], pa.binary()),
-            "dls": pa.array(out["dls"], pa.binary()),
-            "weights": pa.array(out["weights"], pa.binary()),
-            "max_weight": pa.array(out["max_weight"], pa.float64()),
-        }
-        if pos is not None:
-            table_cols["positions"] = pa.array(out["positions"], pa.binary())
-        table = pa.table(table_cols).sort_by([("term", "ascending")])
+        # same columns and codecs as the term-partitioned partition
+        # files (index/build.py), so the shard reader decodes identically
+        cols = encode_term_runs(starts, ends, doc, tf, dl, w, None, pos)
+        table = _shard_table(
+            lookup_terms(lookup, th[starts]), th[starts], cols
+        ).sort_by([("term", "ascending")])
         import io
 
         buf = io.BytesIO()
@@ -408,7 +313,6 @@ def _load_shard_view(
     Lucene deleted-docs semantics, mirroring the term layout's reader:
     dead docs stop matching immediately; df/N/avgdl keep pre-delete
     values until ``docpart_lifecycle.compact_docpart``."""
-    from refimage_ray.index.reader import TermPostings, decode_term_runs
     from refimage_ray.query.engine import _SearcherBase
 
     class _ShardView(_SearcherBase):
@@ -483,8 +387,6 @@ def _load_shard_view(
         # filter masks SILENTLY) — and the attached ranks enable the
         # dense-TAAT fast path per shard, same as the term-partitioned
         # searchers (bit-identical; asserted by the docpart A/B tests)
-        from refimage_ray.index.reader import attach_ranks
-
         attach_ranks(tm, dv.all_ids)
     return _ShardView(tm, dv)
 
@@ -612,7 +514,6 @@ class DocPartSearcher:
     """
 
     def __init__(self, index_dir: str) -> None:
-        from refimage_ray.index.reader import TermPostings
         from refimage_ray.query.engine import _SearcherBase
 
         with open(os.path.join(index_dir, "manifest.json")) as f:

@@ -47,38 +47,19 @@ import ray.data as rd
 
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.functions.arrays import sorted_membership
-from refimage_ray.functions.codec import (
-    encode_f64,
-    encode_postings,
-    varbyte_encode,
-)
 from refimage_ray.index.manifest import atomic_write_bytes
-from refimage_ray.index.docpart import _load_tombstones
+from refimage_ray.index.docpart import _load_tombstones, _shard_table
+from refimage_ray.index.reader import (
+    decode_columns,
+    encode_term_runs,
+    merged_postings,
+    run_bounds,
+)
 from refimage_ray.query.scorer import bm25_weight
 
 
 def _values_path(index_dir: str, fname: str) -> str:
     return os.path.join(index_dir, fname.replace("docshard-", "docvalues-"))
-
-
-def _decode_shard_rows(index_dir: str, fname: str, dead: np.ndarray):
-    """One shard file → {term: (ids, tfs, dls, pos|None)} with dead
-    postings dropped (the load path's column decode and filter)."""
-    from refimage_ray.index.reader import decode_term_runs
-
-    path = os.path.join(index_dir, fname)
-    if not os.path.exists(path):
-        return {}
-    t = pq.read_table(path)
-    if not t.num_rows:
-        return {}
-    out = {}
-    runs = decode_term_runs(t, np.arange(t.num_rows), dead)
-    for term, run in zip(t["term"].to_pylist(), runs):
-        if run is not None:
-            ids, _w, tfs, dls, pos = run  # weights recomputed on merge
-            out[term] = (ids, tfs, dls, pos)
-    return out
 
 
 def _shard_dead_stats(
@@ -87,20 +68,16 @@ def _shard_dead_stats(
     """(dead docs present in this shard, their Σdl).  Universe from the
     docvalues sibling when present, else the posting doc ids (decoded
     once per column over the whole shard file)."""
-    from refimage_ray.index.reader import decode_term_runs
-
     vfile = _values_path(index_dir, fname)
     path = os.path.join(index_dir, fname)
     docs = np.zeros(0, np.int64)
     dead_dl = 0
     if os.path.exists(path):
         t = pq.read_table(path, columns=["doc_ids", "weights", "tfs", "dls"])
-        if t.num_rows:
-            ids, _w, _tfs, dls, _pos = decode_term_runs(
-                t, np.zeros(1, np.int64), np.zeros(0, np.int64))[0]
-            m = sorted_membership(dead, ids)
-            docs, first = np.unique(ids[m], return_index=True)
-            dead_dl = int(dls[m][first].sum())
+        _, ids, _w, _tfs, dls, _pos = decode_columns(t)
+        m = sorted_membership(dead, ids)
+        docs, first = np.unique(ids[m], return_index=True)
+        dead_dl = int(dls[m][first].sum())
     if os.path.exists(vfile):
         uids = pq.read_table(vfile, columns=["doc_id"])["doc_id"].to_numpy(
             zero_copy_only=False
@@ -163,88 +140,34 @@ def _merge_one_shard(
     input_dirs: list[str], fname: str, out_dir: str, avgdl: float,
     k1: float, b: float, with_pos: bool,
 ) -> int:
-    """Merge one doc shard across inputs → the output shard file.
-    Returns the number of terms written (0 = no file)."""
+    """Merge one doc shard across inputs → the output shard file, terms
+    in ascending order (``reader.merged_postings`` then one
+    ``reader.encode_term_runs``).  Returns the number of terms written
+    (0 = no file)."""
     import io
 
-    from refimage_ray.index.pack import ragged_take
-
     deads = [_load_tombstones(d) for d in input_dirs]
-    per_input = [
-        _decode_shard_rows(d, fname, deads[i])
-        for i, d in enumerate(input_dirs)
+    present = [
+        i for i, d in enumerate(input_dirs) if os.path.exists(os.path.join(d, fname))
     ]
-    terms = sorted({t for m in per_input for t in m})
-    if not terms:
+    merged = merged_postings(
+        [pq.read_table(os.path.join(input_dirs[i], fname)) for i in present],
+        [deads[i] for i in present], by_hash=False, with_pos=with_pos,
+    )
+    if merged is None or not len(merged[2]):
         return 0
-    names = ["term", "term_hash", "df_local", "doc_ids", "tfs", "dls",
-             "weights", "max_weight"] + (["positions"] if with_pos else [])
-    out = {k: [] for k in names}
-    from refimage_ray.functions.hashing import blake2b64
-
-    for term in terms:
-        ids_p, tfs_p, dls_p, pos_p, tag_p = [], [], [], [], []
-        for i, m in enumerate(per_input):
-            if term not in m:
-                continue
-            ids, tfs, dls, pos = m[term]
-            ids_p.append(ids.astype(np.int64))
-            tfs_p.append(tfs)
-            dls_p.append(dls)
-            tag_p.append(np.full(len(ids), i, np.int64))
-            if with_pos:
-                if pos is None:
-                    raise ValueError(
-                        f"input {input_dirs[i]} lacks positions for "
-                        f"{term!r} but the merge target is positional"
-                    )
-                pos_p.append(pos)
-        ids = np.concatenate(ids_p)
-        tfs = np.concatenate(tfs_p)
-        dls = np.concatenate(dls_p)
-        tags = np.concatenate(tag_p)
-        # (doc asc, input asc) stable order, then first-wins dedupe
-        order = np.lexsort((tags, ids))
-        ids, tfs, dls, tags = ids[order], tfs[order], dls[order], tags[order]
-        keep = np.ones(len(ids), dtype=bool)
-        keep[1:] = ids[1:] != ids[:-1]
-        if with_pos:
-            # positions follow the same permutation: gather the kept
-            # posting segments in merged (doc asc, first-wins) order
-            pos_flat = np.concatenate(pos_p)
-            pre_tfs = np.concatenate(tfs_p).astype(np.int64)
-            pos_m = ragged_take(pos_flat, pre_tfs, order[keep])
-        ids, tfs, dls = ids[keep], tfs[keep], dls[keep]
-        w = bm25_weight(
-            tfs.astype(np.float64), dls.astype(np.float64), avgdl, k1, b
-        )
-        out["term"].append(term)
-        out["term_hash"].append(int(blake2b64(term)))
-        out["df_local"].append(int(len(ids)))
-        out["doc_ids"].append(encode_postings(ids))
-        out["tfs"].append(varbyte_encode(tfs.astype(np.uint64)))
-        out["dls"].append(varbyte_encode(dls.astype(np.uint64)))
-        out["weights"].append(encode_f64(w))
-        out["max_weight"].append(float(w.max()))
-        if with_pos:
-            out["positions"].append(varbyte_encode(pos_m.astype(np.uint64)))
-    cols = {
-        "term": pa.array(out["term"], pa.string()),
-        "term_hash": pa.array(out["term_hash"], pa.uint64()),
-        "df_local": pa.array(out["df_local"], pa.int64()),
-        "doc_ids": pa.array(out["doc_ids"], pa.binary()),
-        "tfs": pa.array(out["tfs"], pa.binary()),
-        "dls": pa.array(out["dls"], pa.binary()),
-        "weights": pa.array(out["weights"], pa.binary()),
-        "max_weight": pa.array(out["max_weight"], pa.float64()),
-    }
-    if with_pos:
-        cols["positions"] = pa.array(out["positions"], pa.binary())
+    terms, hashes, rank, ids, tfs, dls, pos = merged
+    starts, ends = run_bounds(rank)
+    w = bm25_weight(tfs.astype(np.float64), dls.astype(np.float64), avgdl, k1, b)
+    cols = encode_term_runs(starts, ends, ids, tfs, dls, w, None, pos)
     buf = io.BytesIO()
-    pq.write_table(pa.table(cols), buf)
+    pq.write_table(
+        _shard_table(terms.take(pa.array(rank[starts])), hashes[rank[starts]], cols),
+        buf,
+    )
     atomic_write_bytes(os.path.join(out_dir, fname), buf.getvalue())
     _merge_values(input_dirs, fname, deads, out_dir)
-    return len(terms)
+    return len(starts)
 
 
 def merge_docpart_indexes(
@@ -319,25 +242,17 @@ def merge_docpart_indexes(
     )
 
     # global terms table: re-aggregate df from the merged shard files
-    df_acc: dict[str, int] = {}
-    shard_files = []
-    for r in rows:
-        if not r["n_terms"]:
-            continue
-        shard_files.append(r["fname"])
-        t = pq.read_table(
-            os.path.join(out_dir, r["fname"]), columns=["term", "df_local"]
-        )
-        for term, dfl in zip(t["term"].to_pylist(), t["df_local"].to_pylist()):
-            df_acc[term] = df_acc.get(term, 0) + int(dfl)
+    shard_files = [r["fname"] for r in rows if r["n_terms"]]
+    df_t = pa.concat_tables(
+        [pq.read_table(os.path.join(out_dir, f), columns=["term", "df_local"])
+         for f in shard_files]
+        or [pa.table({"term": pa.array([], pa.string()),
+                      "df_local": pa.array([], pa.int64())})]
+    ).group_by("term").aggregate([("df_local", "sum")]).sort_by("term")
     terms_dir = os.path.join(out_dir, "terms")
     os.makedirs(terms_dir, exist_ok=True)
-    terms_sorted = sorted(df_acc)
     pq.write_table(
-        pa.table({
-            "term": pa.array(terms_sorted, pa.string()),
-            "df": pa.array([df_acc[t] for t in terms_sorted], pa.int64()),
-        }),
+        pa.table({"term": df_t["term"], "df": df_t["df_local_sum"]}),
         os.path.join(terms_dir, "part-00000.parquet"),
     )
 

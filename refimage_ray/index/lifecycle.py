@@ -9,12 +9,13 @@ semantics to a segment model:
 - :func:`delete_docs` — O(deletes) logical tombstones; readers filter
   postings at load; scores/stats keep pre-delete values until compact
   (Lucene-style deleted docs).
-- :func:`merge_indexes` — shard-parallel merge of same-config indexes:
-  per term, posting lists are merge-sorted, tombstones dropped,
-  duplicate doc_ids deduped (first input wins), and **weights are
-  recomputed from the stored per-posting (tf, dl) against the merged
-  corpus' avgdl** — which is why the artifact stores ``dls``.
-  Hot terms are re-salted against the merged doc span.
+- :func:`merge_indexes` — shard-parallel merge of same-config indexes,
+  columnar per shard (``reader.merged_postings``): tombstones dropped,
+  one sort over (term, doc_id, input), duplicate doc_ids deduped
+  (first input wins), and **weights are recomputed from the stored
+  per-posting (tf, dl) against the merged corpus' avgdl** — which is
+  why the artifact stores ``dls``.  Hot terms are re-salted against
+  the merged doc span.
 - :func:`compact_index` — merge of one index with itself → tombstones
   physically removed, stats exact again.
 - :func:`add_documents` — incremental add: build a delta index from
@@ -38,14 +39,15 @@ import ray
 import ray.data as rd
 
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
-from refimage_ray.index.build import _encode_and_write, build_index
+from refimage_ray.index.build import MANIFEST_ROW_SCHEMA, _encode_and_write, build_index
 from refimage_ray.index.manifest import (
     atomic_write_bytes,
     load_manifest,
     save_manifest,
     save_metrics,
 )
-from refimage_ray.index.reader import IndexReader
+from refimage_ray.index.pack import cold_salts, doc_range_salts, ragged_take
+from refimage_ray.index.reader import IndexReader, merged_postings, run_bounds
 
 
 def delete_docs(index_dir: str, doc_ids: list[int] | np.ndarray) -> int:
@@ -117,110 +119,53 @@ class _MergeShard:
         self.doc_span = max(1, doc_span)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        rows = [r for shard in batch["shard"].to_pylist() for r in self._merge_shard(shard)]
+        return pa.concat_tables(rows) if rows else MANIFEST_ROW_SCHEMA.empty_table()
+
+    def _merge_shard(self, shard: int) -> list[pa.Table]:
+        """All inputs' part files of ``shard`` → the merged shard's
+        part files (one per salt, ascending), terms in
+        ``(term_hash, term)`` order.  A hot term (merged df ≥
+        ``hot_df_fraction·N``) is re-salted by doc range against the
+        merged span, a cold one keeps its term-hash salt."""
         cfg = self.cfg
-        rows_out = []
-        for shard in batch["shard"].to_pylist():
-            # gather tombstone-filtered postings per term across inputs
-            per_term: dict[str, list] = {}
-            for d in self.input_dirs:
-                for term, p in IndexReader(d).load_shards([shard]).items():
-                    assert p.dls is not None, (
-                        "merge requires dls-bearing artifacts (rebuild base)"
-                    )
-                    per_term.setdefault(term, []).append(p)
-            if not per_term:
-                continue
-            from refimage_ray.functions.hashing import blake2b64
-
-            # assemble (term_hash, doc)-ordered arrays per salt bucket
-            hot_cut = cfg.hot_df_fraction * self.n_docs
-            per_salt: dict[int, dict[str, list]] = {}
-            for term in sorted(per_term, key=lambda t: (blake2b64(t), t)):
-                plist = per_term[term]
-                ids = np.concatenate([p.doc_ids for p in plist])
-                tfs = np.concatenate([p.tfs for p in plist])
-                dls = np.concatenate([p.dls for p in plist])
-                pos_parts = [p.positions for p in plist]
-                have_pos = all(x is not None for x in pos_parts)
-                if any(x is not None for x in pos_parts) and not have_pos:
-                    raise ValueError(
-                        "cannot merge positional with non-positional inputs"
-                    )
-                pos_cat = np.concatenate(pos_parts) if have_pos else None
-                tf_cat = tfs.copy()
-                order = np.argsort(ids, kind="stable")
-                # dedupe doc_ids (first input wins via stable order)
-                sel = order
-                if len(ids) > 1:
-                    srt = ids[order]
-                    uniq = np.ones(len(srt), dtype=bool)
-                    uniq[1:] = srt[1:] != srt[:-1]
-                    sel = order[uniq]
-                ids, tfs, dls = ids[sel], tfs[sel], dls[sel]
-                pos_final = None
-                if have_pos:
-                    from refimage_ray.index.pack import ragged_take
-
-                    pos_final = ragged_take(pos_cat, tf_cat.astype(np.int64), sel)
-                th = blake2b64(term)
-                if len(ids) >= hot_cut and cfg.salt_buckets > 1:
-                    from refimage_ray.index.pack import doc_range_salts
-
-                    salts = doc_range_salts(ids, cfg.salt_buckets, self.doc_span)
-                else:
-                    # same formula as pack.cold_salts, scalar form
-                    cs = int((th // cfg.num_shards) % cfg.salt_buckets)
-                    salts = np.full(len(ids), cs, dtype=np.int64)
-                for salt in np.unique(salts):
-                    seg = salts == salt
-                    bucket = per_salt.setdefault(int(salt), {
-                        "term": [], "th": [], "ids": [], "tfs": [], "dls": [],
-                        "pos": []})
-                    bucket["term"].append(term)
-                    bucket["th"].append(th)
-                    bucket["ids"].append(ids[seg])
-                    bucket["tfs"].append(tfs[seg])
-                    bucket["dls"].append(dls[seg])
-                    if have_pos:
-                        from refimage_ray.index.pack import ragged_take
-
-                        bucket["pos"].append(
-                            ragged_take(
-                                pos_final, tfs.astype(np.int64),
-                                np.flatnonzero(seg),
-                            )
-                        )
-            for salt, b in sorted(per_salt.items()):
-                lens = [len(x) for x in b["ids"]]
-                starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-                ends = np.cumsum(lens)
-                hashes = np.concatenate(
-                    [np.full(l, h, dtype=np.uint64) for h, l in zip(b["th"], lens)]
-                )
-                positions = (
-                    np.concatenate(b["pos"]) if b["pos"] else None
-                )
-                row = _encode_and_write(
-                    self.out_dir,
-                    cfg,
-                    self.avgdl,
-                    shard * cfg.salt_buckets + salt,
-                    b["term"],
-                    hashes,
-                    np.concatenate(b["ids"]).astype(np.int64),
-                    np.concatenate(b["tfs"]).astype(np.int64),
-                    np.concatenate(b["dls"]).astype(np.float64),
-                    starts.astype(np.int64),
-                    ends.astype(np.int64),
-                    raw_bytes=int(sum(int(e) - int(s) for s, e in zip(starts, ends)) * 28),
-                    positions=positions,
-                )
-                rows_out.append(row)
-        if not rows_out:
-            from refimage_ray.index.build import MANIFEST_ROW_SCHEMA
-
-            return MANIFEST_ROW_SCHEMA.empty_table()
-        return pa.concat_tables(rows_out)
+        tables, deads = [], []
+        for d in self.input_dirs:
+            reader = IndexReader(d)
+            parts = reader._parts_by_shard.get(shard, [])
+            if parts:
+                tables.append(pa.concat_tables([
+                    pq.read_table(os.path.join(d, p["path"])) for p in parts
+                ]))
+                deads.append(reader.tombstones)
+        with_pos = any("positions" in t.column_names for t in tables)
+        merged = merged_postings(tables, deads, by_hash=True, with_pos=with_pos)
+        if merged is None:
+            return []
+        terms, hashes, rank, ids, tfs, dls, pos = merged
+        df = np.bincount(rank, minlength=len(terms))
+        hot = (df >= cfg.hot_df_fraction * self.n_docs) & (cfg.salt_buckets > 1)
+        salts = np.where(
+            hot[rank],
+            doc_range_salts(ids, cfg.salt_buckets, self.doc_span),
+            cold_salts(hashes[rank], cfg.num_shards, cfg.salt_buckets),
+        )
+        order = np.argsort(salts, kind="stable")  # keeps (term, doc) order
+        rows = []
+        for a, b in zip(*run_bounds(salts[order])):
+            seg = order[a:b]
+            salt = int(salts[seg[0]])
+            starts, ends = run_bounds(rank[seg])
+            run_terms = rank[seg][starts]
+            rows.append(_encode_and_write(
+                self.out_dir, cfg, self.avgdl,
+                shard * cfg.salt_buckets + salt,
+                terms.take(pa.array(run_terms)), hashes[run_terms],
+                ids[seg], tfs[seg], dls[seg], starts, ends,
+                raw_bytes=len(seg) * 28,
+                positions=ragged_take(pos, tfs, seg) if with_pos else None,
+            ))
+        return rows
 
 
 def merge_indexes(

@@ -23,6 +23,11 @@ and encodes exactly the same artifact as the row-wise reducer
 (asserted byte-identical in tests).  This is the Ray Data expression
 of a sort-shuffle map-side combine with spill compression (Spark's
 combiner + shuffle codec).
+
+The sort/delta/encode/slice core (:func:`pack_postings`) takes the
+gkey of every posting from its caller, so the doc-partitioned build
+(``docpart._pack_docshard``, keyed by doc shard) packs through the same
+code into the same blob format.
 """
 
 from __future__ import annotations
@@ -31,12 +36,8 @@ import numpy as np
 import pyarrow as pa
 
 from refimage_ray.config import EngineConfig
-from refimage_ray.functions.codec import (
-    slice_varbyte,
-    varbyte_decode,
-    varbyte_encode,
-    varbyte_encode_with_offsets,
-)
+from refimage_ray.functions.codec import varbyte_decode
+from refimage_ray.index.reader import binary_rows, run_bounds, varbyte_rows
 from refimage_ray.stages.tokenize import tokenize_batch
 
 def ragged_take(flat: np.ndarray, lens: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -137,7 +138,33 @@ def pack_batch(
     import pyarrow.compute as pc
 
     toks = tokenize_batch(batch, cfg)
+    th = toks["term_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    doc = toks["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    is_hot = (
+        pc.is_in(toks["term"], value_set=hot_arr).to_numpy(zero_copy_only=False)
+        if len(hot_arr) and toks.num_rows else np.zeros(len(th), dtype=bool)
+    )
+    gkey = assign_gkeys(th, doc, is_hot, cfg.num_shards, cfg.salt_buckets, doc_span)
+    return pack_postings(toks, gkey, done_gkeys, rank_ids)
+
+
+def pack_postings(
+    toks: pa.Table,
+    gkey: np.ndarray,
+    done_gkeys: "np.ndarray | None" = None,
+    rank_ids: "np.ndarray | None" = None,
+) -> pa.Table:
+    """Tokenized postings + a gkey per posting → packed rows, one per
+    gkey not in ``done_gkeys`` (resume skips them).  The core both
+    layouts' map sides share: the term-partitioned build passes
+    (shard, salt) gkeys (:func:`pack_batch`), the doc-partitioned one
+    doc shards (``docpart._pack_docshard``)."""
+    import pyarrow.compute as pc
+
     with_pos = "pos" in toks.column_names
+    if done_gkeys is not None and len(done_gkeys):
+        live = ~np.isin(gkey, done_gkeys)  # resume: partition checkpointed
+        toks, gkey = toks.filter(pa.array(live)), gkey[live]
     if toks.num_rows == 0:
         if with_pos:
             return PACK_SCHEMA.append(pa.field("posb", pa.binary())).empty_table()
@@ -145,145 +172,79 @@ def pack_batch(
     th = toks["term_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
     doc = toks["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     tf = toks["tf"].to_numpy(zero_copy_only=False).astype(np.int32)
-    dl = toks["dl"].to_numpy(zero_copy_only=False).astype(np.int32)
-    if len(hot_arr):
-        is_hot = pc.is_in(toks["term"], value_set=hot_arr).to_numpy(
-            zero_copy_only=False
-        )
-    else:
-        is_hot = np.zeros(len(th), dtype=bool)
-    gkey = assign_gkeys(th, doc, is_hot, cfg.num_shards, cfg.salt_buckets, doc_span)
-
     order = np.lexsort((doc, th, gkey))
-    gs, ths, docs_, tfs, dls = gkey[order], th[order], doc[order], tf[order], dl[order]
+    gs, ths, docs_, tfs = gkey[order], th[order], doc[order], tf[order]
     if rank_ids is not None:
         # rank order == doc order, so the (gkey, th, doc) sort above is
         # also the (gkey, th, rank) sort; encode ranks as the "doc" ints
         ranks = np.searchsorted(rank_ids, docs_)
-        if len(ranks) and (
-            ranks.max() >= len(rank_ids)
-            or not np.array_equal(rank_ids[ranks], docs_)
-        ):
+        if ranks.max() >= len(rank_ids) or not np.array_equal(rank_ids[ranks], docs_):
             raise ValueError("doc_id absent from broadcast universe")
         docs_ = ranks.astype(np.int64)
-    pos_perm = None
-    pos_offsets = None
-    if with_pos:
-        pos_col = toks["pos"].combine_chunks()
-        pos_flat = pc.list_flatten(pos_col).to_numpy(zero_copy_only=False).astype(
-            np.int32
-        )
-        pos_perm = ragged_take(pos_flat, tf.astype(np.int64), order)
-        pos_offsets = np.concatenate(([0], np.cumsum(tfs.astype(np.int64))))
 
-    # per-pack term dictionary: first row index of each distinct hash
-    # (within the batch) → its term string
-    terms = toks["term"].combine_chunks()
-
-    changes = np.flatnonzero(gs[1:] != gs[:-1]) + 1
-    starts = np.concatenate(([0], changes))
-    ends = np.concatenate((changes, [len(gs)]))
-
-    # doc deltas over the WHOLE sorted batch (reset to absolute at each
-    # (gkey, th)-run start) — every varbyte column is encoded ONCE per
-    # batch and byte-SLICED per gkey (varbyte is per-value independent,
-    # so a slice of the full encoding equals encoding the slice)
-    run_start_mask = np.zeros(len(gs), dtype=bool)
-    run_start_mask[0] = True
-    run_start_mask[1:] = (ths[1:] != ths[:-1]) | (gs[1:] != gs[:-1])
+    # one row per gkey run; each varbyte column is encoded ONCE over
+    # the whole sorted batch and cut at the gkey boundaries (varbyte is
+    # per-value independent, so a slice of the full encoding equals
+    # encoding the slice).  Doc deltas reset at each (gkey, th) run.
+    new_run = np.ones(len(gs), dtype=bool)
+    new_run[1:] = (ths[1:] != ths[:-1]) | (gs[1:] != gs[:-1])
+    run_starts = np.flatnonzero(new_run)
+    g_starts, g_ends = run_bounds(gs)
+    rows = np.append(g_starts, len(gs))
+    run_rows = np.searchsorted(run_starts, rows)
     doc_delta = docs_.copy()
     doc_delta[1:] -= docs_[:-1]
-    doc_delta[run_start_mask] = docs_[run_start_mask]
-
-    run_starts_idx = np.flatnonzero(run_start_mask)
-    run_lens_all = np.diff(np.concatenate((run_starts_idx, [len(gs)])))
-    docd_buf, docd_ends = varbyte_encode_with_offsets(doc_delta.astype(np.uint64))
-    tf_buf, tf_ends = varbyte_encode_with_offsets(tfs.astype(np.uint64))
-    if rank_ids is None:
-        dl_buf, dl_ends = varbyte_encode_with_offsets(dls.astype(np.uint64))
-    rl_buf, rl_ends = varbyte_encode_with_offsets(run_lens_all.astype(np.uint64))
-
-    col_names = ["gkey", "n", "rlen", "docd", "tf", "dl", "dict_hash", "dict_terms"]
-    if with_pos:
-        col_names.append("posb")
-    cols: dict[str, list] = {k: [] for k in col_names}
-    done = done_gkeys
-    for s, e in zip(starts, ends):
-        g = int(gs[s])
-        if len(done):
-            pos = np.searchsorted(done, g)
-            if pos < len(done) and done[pos] == g:
-                continue  # resume: partition already checkpointed
-        r0 = int(np.searchsorted(run_starts_idx, s))
-        r1 = int(np.searchsorted(run_starts_idx, e))
-        dict_hash = ths[run_starts_idx[r0:r1]]
-        dict_idx = order[run_starts_idx[r0:r1]]
-        dict_terms = pc.take(terms, pa.array(dict_idx, pa.int64())).to_pylist()
-        cols["gkey"].append(g)
-        cols["n"].append(int(e - s))
-        cols["rlen"].append(slice_varbyte(rl_buf, rl_ends, r0, r1))
-        cols["docd"].append(slice_varbyte(docd_buf, docd_ends, s, e))
-        cols["tf"].append(slice_varbyte(tf_buf, tf_ends, s, e))
-        cols["dl"].append(
-            b"" if rank_ids is not None else slice_varbyte(dl_buf, dl_ends, s, e)
-        )
-        cols["dict_hash"].append(dict_hash.tobytes())
-        cols["dict_terms"].append("\n".join(dict_terms))
-        if with_pos:
-            cols["posb"].append(
-                pos_perm[pos_offsets[s]:pos_offsets[e]].tobytes()
-            )
+    doc_delta[new_run] = docs_[new_run]
+    # per-pack term dictionary: each (gkey, th) run's hash and term
+    run_terms = toks["term"].combine_chunks().take(pa.array(order[run_starts]))
     out = {
-        "gkey": pa.array(cols["gkey"], pa.int64()),
-        "n": pa.array(cols["n"], pa.int32()),
-        "rlen": pa.array(cols["rlen"], pa.binary()),
-        "docd": pa.array(cols["docd"], pa.binary()),
-        "tf": pa.array(cols["tf"], pa.binary()),
-        "dl": pa.array(cols["dl"], pa.binary()),
-        "dict_hash": pa.array(cols["dict_hash"], pa.binary()),
-        "dict_terms": pa.array(cols["dict_terms"], pa.string()),
+        "gkey": pa.array(gs[g_starts], pa.int64()),
+        "n": pa.array(g_ends - g_starts, pa.int32()),
+        "rlen": varbyte_rows(np.diff(np.append(run_starts, len(gs))), run_rows),
+        "docd": varbyte_rows(doc_delta, rows),
+        "tf": varbyte_rows(tfs, rows),
+        "dl": pa.array([b""] * len(g_starts), pa.binary())
+        if rank_ids is not None
+        else varbyte_rows(toks["dl"].to_numpy(zero_copy_only=False)[order], rows),
+        "dict_hash": binary_rows(ths[run_starts].view(np.uint8), 8 * run_rows),
+        "dict_terms": pc.binary_join(
+            pa.ListArray.from_arrays(pa.array(run_rows, pa.int32()), run_terms), "\n"
+        ),
     }
     if with_pos:
-        out["posb"] = pa.array(cols["posb"], pa.binary())
+        pos_flat = pc.list_flatten(toks["pos"].combine_chunks()).to_numpy(
+            zero_copy_only=False
+        ).astype(np.int32)
+        pos_perm = ragged_take(pos_flat, tf.astype(np.int64), order)
+        ctf = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+        out["posb"] = binary_rows(pos_perm.view(np.uint8), 4 * ctf[rows])
     return pa.table(out)
-
-
-def _decode_pack_row(
-    rlen_b: bytes, docd_b: bytes, hash_b: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pack row's (rlen, docd, dict_hash) → (th, doc) arrays."""
-    rlen = varbyte_decode(rlen_b).astype(np.int64)
-    hashes = np.frombuffer(hash_b, dtype=np.uint64)
-    th = np.repeat(hashes, rlen)
-    deltas = varbyte_decode(docd_b).astype(np.int64)
-    # prefix-sum with reset at run starts: doc[i] = Σ deltas[start..i]
-    cs = np.cumsum(deltas)
-    starts = np.concatenate(([0], np.cumsum(rlen)[:-1]))
-    base = cs[starts] - deltas[starts]
-    doc = cs - np.repeat(base, rlen)
-    return th, doc
 
 
 def unpack_group(
     group: pa.Table,
     universe: "tuple[np.ndarray, np.ndarray] | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict, "np.ndarray | None"]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, "np.ndarray | None"]:
     """Packed rows of one gkey → concatenated, (hash, doc)-sorted
-    posting arrays + hash→term lookup (+ flat positions when stored)."""
-    ths, docs = [], []
-    for rlen_b, docd_b, hash_b in zip(
-        group["rlen"].to_pylist(),
-        group["docd"].to_pylist(),
-        group["dict_hash"].to_pylist(),
-    ):
-        t, d = _decode_pack_row(rlen_b, docd_b, hash_b)
-        ths.append(t)
-        docs.append(d)
-    th = np.concatenate(ths) if ths else np.zeros(0, np.uint64)
-    doc = np.concatenate(docs) if docs else np.zeros(0, np.int64)
-    tf = np.concatenate(
-        [varbyte_decode(b).astype(np.int32) for b in group["tf"].to_pylist()]
-    ) if group.num_rows else np.zeros(0, np.int32)
+    posting arrays + hash→term lookup for :func:`lookup_terms` (+ flat
+    positions when stored).  Every column is decoded once over all the
+    rows: varbyte values are self-delimiting and each row's runs
+    partition its postings, so the rows' concatenation is one valid
+    stream."""
+    import pyarrow.compute as pc
+
+    def cat(name: str) -> bytes:
+        return b"".join(group[name].to_pylist())
+
+    rlen = varbyte_decode(cat("rlen")).astype(np.int64)
+    hashes = np.frombuffer(cat("dict_hash"), np.uint64)
+    th = np.repeat(hashes, rlen)
+    # doc ids: prefix sum of the deltas, reset at each run start
+    deltas = varbyte_decode(cat("docd")).astype(np.int64)
+    cs = np.cumsum(deltas)
+    starts = np.cumsum(rlen) - rlen
+    doc = cs - np.repeat(cs[starts] - deltas[starts], rlen)
+    tf = varbyte_decode(cat("tf")).astype(np.int32)
     if universe is not None:
         # rank-packed exchange: "doc" ints are universe ranks; recover
         # real doc ids and per-posting doc lengths from the broadcast
@@ -291,20 +252,27 @@ def unpack_group(
         dl = u_dls[doc].astype(np.int32)
         doc = u_ids[doc].astype(np.int64)
     else:
-        dl = np.concatenate(
-            [varbyte_decode(b).astype(np.int32) for b in group["dl"].to_pylist()]
-        ) if group.num_rows else np.zeros(0, np.int32)
-    lookup: dict[int, str] = {}
-    for hb, ts in zip(group["dict_hash"].to_pylist(), group["dict_terms"].to_pylist()):
-        hashes = np.frombuffer(hb, dtype=np.uint64)
-        names = ts.split("\n") if ts else []
-        for h, name in zip(hashes, names):
-            lookup.setdefault(int(h), name)
+        dl = varbyte_decode(cat("dl")).astype(np.int32)
+    # the rows' dictionaries, first occurrence of each hash wins
+    names = pc.list_flatten(
+        pc.split_pattern(group["dict_terms"].combine_chunks(), "\n")
+    )
+    if len(names) != len(hashes):
+        raise ValueError("packed term dictionary misaligned with its hashes")
+    keys, first = np.unique(hashes, return_index=True)
+    lookup = (keys, names.take(pa.array(first)))
     order = np.lexsort((doc, th))
     pos_sorted = None
     if "posb" in group.column_names:
-        pos_flat = np.concatenate(
-            [np.frombuffer(b, dtype=np.int32) for b in group["posb"].to_pylist()]
-        )
+        pos_flat = np.frombuffer(cat("posb"), np.int32)
         pos_sorted = ragged_take(pos_flat, tf.astype(np.int64), order)
     return th[order], doc[order], tf[order], dl[order], lookup, pos_sorted
+
+
+def lookup_terms(lookup: tuple, hashes: np.ndarray) -> pa.Array:
+    """Term strings of ``hashes`` from an :func:`unpack_group` lookup."""
+    keys, names = lookup
+    idx = np.searchsorted(keys, hashes)
+    if len(idx) and (idx.max() >= len(keys) or not np.array_equal(keys[idx], hashes)):
+        raise KeyError("term hash missing from the packed dictionaries")
+    return names.take(pa.array(idx))

@@ -33,7 +33,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from refimage_ray.functions.codec import decode_f64, decode_postings, varbyte_decode
+from refimage_ray.functions.codec import (
+    decode_f64,
+    decode_postings,
+    varbyte_decode,
+    varbyte_encode_with_offsets,
+)
 from refimage_ray.index.manifest import load_manifest
 
 
@@ -174,24 +179,13 @@ def _varbyte_column(t: pa.Table, name: str, counts: np.ndarray, dtype):
     return _frozen(varbyte_decode(b).astype(dtype))
 
 
-def decode_term_runs(
-    t: pa.Table, starts: np.ndarray, dead: np.ndarray
-) -> list[tuple | None]:
-    """Decode the posting columns of ``t`` once each, for runs of rows
-    ``[starts[g], starts[g+1])`` (the last run ends at the table's end)
-    that each hold one term.
-
-    Returns, per run, ``(doc_ids, weights, tfs, dls, positions)`` —
-    read-only views of flat column arrays, concatenated over the run's
-    rows in table order; ``dls``/``positions`` are None when the
-    column is absent (pre-dls / non-positional artifacts).  Doc-id
-    deltas are prefix-summed once over the whole column and re-based
-    per row (exact: the arithmetic wraps modulo 2^64).
-
-    Postings whose doc_id is in ``dead`` (sorted) are dropped: only
-    runs that lose postings are rebuilt, and a run left with none is
-    None.  Shared by the term- and doc-partitioned loaders.
-    """
+def decode_columns(t: pa.Table):
+    """The posting columns of ``t``, each decoded once over its whole
+    data buffer: ``(counts, ids, weights, tfs, dls, positions)`` with
+    ``counts[r]`` the postings of row ``r``; ``dls``/``positions`` are
+    None when the column is absent.  Doc-id deltas are prefix-summed
+    once and re-based per row (exact: the arithmetic wraps modulo
+    2^64)."""
     names = t.column_names
     b, o = _binary_column(t, "doc_ids")
     counts = _row_counts(b, o, "doc_ids")
@@ -211,9 +205,32 @@ def decode_term_runs(
     if "positions" in names:
         ctf = np.concatenate(([0], np.cumsum(tfs)))
         pos = _varbyte_column(t, "positions", ctf[voff[1:]] - ctf[voff[:-1]], np.int32)
+    return counts, ids, w, tfs, dls, pos
+
+
+def decode_term_runs(
+    t: pa.Table, starts: np.ndarray, dead: np.ndarray
+) -> list[tuple | None]:
+    """Decode the posting columns of ``t`` once each, for runs of rows
+    ``[starts[g], starts[g+1])`` (the last run ends at the table's end)
+    that each hold one term.
+
+    Returns, per run, ``(doc_ids, weights, tfs, dls, positions)`` —
+    read-only views of flat column arrays, concatenated over the run's
+    rows in table order; ``dls``/``positions`` are None when the
+    column is absent (pre-dls / non-positional artifacts).
+
+    Postings whose doc_id is in ``dead`` (sorted) are dropped: only
+    runs that lose postings are rebuilt, and a run left with none is
+    None.  Shared by the term- and doc-partitioned loaders.
+    """
+    counts, ids, w, tfs, dls, pos = decode_columns(t)
+    voff = np.concatenate(([0], np.cumsum(counts)))
     rows = np.append(starts, len(counts))
     off = voff[rows].tolist()
-    poff = ctf[voff[rows]].tolist() if pos is not None else None
+    poff = None
+    if pos is not None:
+        poff = np.concatenate(([0], np.cumsum(tfs)))[voff[rows]].tolist()
 
     hit = None
     if len(dead) and len(ids):
@@ -234,6 +251,165 @@ def decode_term_runs(
             run = _drop(run, ~is_dead[s:e])
         out.append(run)
     return out
+
+
+def run_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of the runs of equal adjacent values."""
+    n = len(keys)
+    if n == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    changes = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.concatenate(([0], changes)), np.concatenate((changes, [n]))
+
+
+def binary_rows(buf: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    """A ``pa.binary()`` column over one byte buffer and per-row byte
+    offsets (from 0) — no per-row ``bytes`` objects."""
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError("binary column exceeds int32 offsets (2 GiB)")
+    return pa.Array.from_buffers(
+        pa.binary(), len(offsets) - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(buf)],
+    )
+
+
+def varbyte_rows(values: np.ndarray, rows: np.ndarray) -> pa.Array:
+    """``varbyte_encode(values[rows[r]:rows[r+1]])`` for every row ``r``,
+    from ONE encode of the whole array (varbyte is per-value
+    independent, so a row's bytes are a slice of the full encoding)."""
+    buf, ends = varbyte_encode_with_offsets(values.astype(np.uint64))
+    return binary_rows(buf, np.concatenate(([0], ends))[rows])
+
+
+def encode_term_runs(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    ids: np.ndarray,
+    tfs: np.ndarray,
+    dls: np.ndarray,
+    weights: np.ndarray,
+    block_size: int | None,
+    positions: np.ndarray | None = None,
+) -> dict[str, pa.Array]:
+    """The write-side mirror of :func:`decode_term_runs`: flat
+    (term, doc_id)-sorted posting arrays, cut into one row per run
+    ``[starts[g], ends[g])`` (non-empty runs partitioning the arrays in
+    order), → the posting columns as Arrow arrays.
+
+    Every row equals the per-run encode — ``doc_ids`` delta+varbyte
+    with the delta reset at the run start, ``tfs``/``dls``/
+    ``positions`` varbyte (a run's positions are its postings' tf
+    segments), ``weights`` little-endian float64 — but each column is
+    encoded once over the whole array and cut at the run boundaries.
+    ``df`` and ``max_weight`` are per-run reductions; with a
+    ``block_size``, ``block_max_weight``/``block_last_doc`` come from
+    one ``reduceat`` over the block starts of all runs.  Callers pick
+    the columns their layout stores.
+    """
+    starts = np.asarray(starts, np.int64)
+    ends = np.asarray(ends, np.int64)
+    if len(starts) and (
+        starts[0] != 0 or ends[-1] != len(ids)
+        or (starts[1:] != ends[:-1]).any() or (ends <= starts).any()
+    ):
+        raise ValueError("runs must be non-empty and partition the postings in order")
+    rows = np.concatenate(([0], ends))
+    u = np.asarray(ids, np.int64).view(np.uint64)
+    delta = u.copy()
+    delta[1:] -= u[:-1]
+    delta[starts] = u[starts]
+    w = np.ascontiguousarray(weights, dtype="<f8")
+    out = {
+        "df": pa.array(ends - starts, pa.int64()),
+        "doc_ids": varbyte_rows(delta, rows),
+        "tfs": varbyte_rows(tfs, rows),
+        "dls": varbyte_rows(dls, rows),
+        "weights": binary_rows(w.view(np.uint8), 8 * rows),
+        "max_weight": pa.array(
+            np.maximum.reduceat(w, starts) if len(starts) else w[:0], pa.float64()
+        ),
+    }
+    if block_size is not None:
+        nb = (ends - starts + block_size - 1) // block_size
+        boff = np.concatenate(([0], np.cumsum(nb)))
+        run = np.repeat(np.arange(len(starts)), nb)
+        bstart = starts[run] + (np.arange(boff[-1]) - boff[run]) * block_size
+        last = np.minimum(bstart + block_size - 1, ends[run] - 1)
+        bmax = np.maximum.reduceat(w, bstart) if len(bstart) else w[:0]
+        offs = pa.array(boff, pa.int32())
+        out["block_max_weight"] = pa.ListArray.from_arrays(offs, pa.array(bmax, pa.float64()))
+        out["block_last_doc"] = pa.ListArray.from_arrays(
+            offs, pa.array(np.asarray(ids, np.int64)[last], pa.int64())
+        )
+    if positions is not None:
+        ctf = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+        out["positions"] = varbyte_rows(positions, ctf[rows])
+    return out
+
+
+def merged_postings(
+    tables: list[pa.Table], deads: list[np.ndarray], by_hash: bool,
+    with_pos: bool,
+):
+    """First-input-wins union of posting tables (one input each, in
+    input order): every table decoded once per column, postings whose
+    doc_id is in that input's sorted ``dead`` dropped, then ONE lexsort
+    over (term order, doc_id, input) and one first-of-(term, doc_id)
+    mask.  Term order is ``(term_hash, term)`` with ``by_hash``, else
+    ``term``.
+
+    Returns ``(terms, hashes, rank, ids, tfs, dls, positions)``:
+    ``terms``/``hashes`` list every input term in term order, and the
+    kept postings come sorted by ``(rank, doc_id)`` with ``rank`` the
+    index of their term in ``terms`` (a term with no live posting has
+    no run).  Positions are carried only with ``with_pos``, which every
+    input must then store."""
+    from refimage_ray.functions.arrays import sorted_membership
+    from refimage_ray.index.pack import ragged_take
+
+    if not tables:
+        return None
+    cols = []
+    for i, (t, dead) in enumerate(zip(tables, deads)):
+        counts, ids, _w, tfs, dls, pos = decode_columns(t)
+        if dls is None:
+            raise ValueError("merge requires dls-bearing artifacts (rebuild base)")
+        if with_pos and pos is None:
+            raise ValueError("cannot merge positional with non-positional inputs")
+        cols.append((counts, ids, tfs, dls, pos if with_pos else None,
+                     ~sorted_membership(dead, ids),
+                     np.full(len(ids), i, np.int32)))
+    counts, ids, tfs, dls, pos, live, tag = (
+        None if c[0] is None else np.concatenate(c) for c in zip(*cols)
+    )
+    names = pa.concat_arrays(
+        [t.column("term").cast(pa.string()).combine_chunks() for t in tables]
+    )
+    row_hash = np.concatenate([
+        t.column("term_hash").to_numpy().astype(np.uint64) for t in tables
+    ])
+    enc = pc.dictionary_encode(names)
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    _, first = np.unique(codes, return_index=True)
+    keys = pa.table({"h": row_hash[first], "t": enc.dictionary})
+    order = pc.sort_indices(
+        keys, [("h", "ascending"), ("t", "ascending")] if by_hash else [("t", "ascending")]
+    ).to_numpy().astype(np.int64)
+    rank_of = np.empty(len(order), np.int64)
+    rank_of[order] = np.arange(len(order))
+    prank = np.repeat(rank_of[codes], counts)
+    idx = np.flatnonzero(live)
+    idx = idx[np.lexsort((tag[idx], ids[idx], prank[idx]))]
+    r, d = prank[idx], ids[idx]
+    keep = np.ones(len(idx), bool)
+    keep[1:] = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
+    sel = idx[keep]
+    return (
+        enc.dictionary.take(pa.array(order)),
+        row_hash[first][order],
+        prank[sel], ids[sel], tfs[sel], dls[sel],
+        ragged_take(pos, tfs, sel) if with_pos else None,
+    )
 
 
 def _drop(run: tuple, keep: np.ndarray) -> tuple | None:

@@ -193,6 +193,7 @@ def test_artifact_identical_across_local_and_distributed_planning(
     d_local = str(tmp_path / "local")
     res_local = build_index(rd.from_arrow(docs), d_local, cfg, dedup_exact=True)
     assert res_local.metrics["hot_source"] == "driver_local"
+    assert res_local.metrics["exchange"] == "rank"
 
     # mode 2: side-sample hot estimation + narrow-local loser/stats
     # (the layout a >DRIVER_LOCAL_ROWS corpus takes by default);
@@ -218,6 +219,7 @@ def test_artifact_identical_across_local_and_distributed_planning(
     d_dist = str(tmp_path / "dist")
     res_dist = build_index(rd.from_arrow(docs), d_dist, cfg, dedup_exact=True)
     assert res_dist.metrics["hot_source"] == "distributed"
+    assert res_dist.metrics["exchange"] == "absolute"
 
     for name_a, dir_b in (("side", d_side), ("pre", d_pre), ("dist", d_dist)):
         files_b = sorted(
@@ -249,6 +251,25 @@ def test_artifact_identical_across_local_and_distributed_planning(
     assert ml["hot_terms"] == md["hot_terms"]
     n_distinct = len(set(tiny_docs["text"].to_pylist()))
     assert ml["n_docs"] == md["n_docs"] == n_distinct
+
+
+def test_side_bands_meta_closes_its_file(tmp_path):
+    """Regression: the ``_RATE`` reader left its file to the garbage
+    collector, which ``python -X dev`` reports as a ResourceWarning."""
+    import gc
+    import json
+    import warnings
+
+    from refimage_ray.index.build import _side_bands_meta
+
+    (tmp_path / "_RATE").write_text(
+        json.dumps({"bands": [{"tag": "a", "lo": 0.0, "hi": 0.25}]})
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _side_bands_meta(str(tmp_path)) == [("a", 0.0, 0.25)]
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_hash_id_salting_no_overflow(ray_session, tiny_pages, tmp_path):

@@ -10,6 +10,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ray.data as rd
 
@@ -20,7 +22,7 @@ from refimage_ray.functions.codec import (
     encode_postings,
     varbyte_decode,
 )
-from refimage_ray.index.build import build_index
+from refimage_ray.index.build import INDEX_SCHEMA, build_index
 from refimage_ray.index.manifest import load_manifest
 from refimage_ray.index.reader import (
     IndexReader,
@@ -220,3 +222,111 @@ def test_foreign_doc_id_fails_rank_check(built_index, tmp_path):
         LocalSearcher(d)
     with pytest.raises(ValueError, match=repr(t["term"][0].as_py())):
         attach_ranks(IndexReader(d).load_shards(None), load_doc_universe(d))
+
+
+# ---- write side: encode_term_runs ------------------------------------
+
+
+def _runs_strategy():
+    """(runs, block_size, positional): each run a sorted unique id set
+    (up to 63-bit) with per-posting tf/dl/weight — single-posting runs
+    and runs longer than the block size both occur."""
+    posting = st.tuples(
+        st.integers(1, 5), st.integers(0, 2**31 - 1),
+        st.floats(0.0, 10.0, allow_nan=False),
+    )
+    run = st.dictionaries(st.integers(0, 2**63 - 1), posting, min_size=1, max_size=12)
+    return st.tuples(
+        st.lists(run, max_size=6), st.sampled_from([1, 2, 3, 128]), st.booleans()
+    )
+
+
+def _flat(runs, positional, seed=0):
+    rng = np.random.default_rng(seed)
+    ids, tfs, dls, w = [], [], [], []
+    for r in runs:
+        for d in sorted(r):
+            tf, dl, wt = r[d]
+            ids.append(d), tfs.append(tf), dls.append(dl), w.append(wt)
+    lens = np.array([len(r) for r in runs], np.int64)
+    ends = np.cumsum(lens)
+    tfs = np.array(tfs, np.int64)
+    pos = rng.integers(0, 2**31 - 1, int(tfs.sum())).astype(np.int32) if positional else None
+    return (ends - lens, ends, np.array(ids, np.int64), tfs,
+            np.array(dls, np.int64), np.array(w, np.float64), pos)
+
+
+def _reference_encode(starts, ends, ids, tfs, dls, w, block_size, pos):
+    """One run at a time, with the per-value codec functions."""
+    from refimage_ray.functions.codec import encode_f64, varbyte_encode
+
+    out: dict[str, list] = {k: [] for k in (
+        "df", "doc_ids", "tfs", "dls", "weights", "max_weight",
+        "block_max_weight", "block_last_doc", "positions")}
+    ctf = np.concatenate(([0], np.cumsum(tfs)))
+    for s, e in zip(starts, ends):
+        blocks = np.arange(0, e - s, block_size)
+        out["df"].append(int(e - s))
+        out["doc_ids"].append(encode_postings(ids[s:e]))
+        out["tfs"].append(varbyte_encode(tfs[s:e]))
+        out["dls"].append(varbyte_encode(dls[s:e]))
+        out["weights"].append(encode_f64(w[s:e]))
+        out["max_weight"].append(float(w[s:e].max()))
+        out["block_max_weight"].append(np.maximum.reduceat(w[s:e], blocks).tolist())
+        out["block_last_doc"].append(
+            ids[s:e][np.minimum(blocks + block_size, e - s) - 1].tolist())
+        if pos is not None:
+            out["positions"].append(varbyte_encode(pos[ctf[s]:ctf[e]]))
+    return out
+
+
+@given(_runs_strategy())
+@example(([], 2, True))
+@settings(max_examples=150, deadline=None)
+def test_encode_term_runs_matches_per_run_reference(case):
+    from refimage_ray.index.reader import encode_term_runs
+
+    runs, block_size, positional = case
+    starts, ends, ids, tfs, dls, w, pos = _flat(runs, positional)
+    got = encode_term_runs(starts, ends, ids, tfs, dls, w, block_size, pos)
+    want = _reference_encode(starts, ends, ids, tfs, dls, w, block_size, pos)
+    assert sorted(got) == sorted(k for k in want if k != "positions" or positional)
+    for k, col in got.items():
+        want_type = pa.binary() if k == "positions" else INDEX_SCHEMA.field(k).type
+        assert col.type == want_type, k
+        assert col.to_pylist() == want[k], k
+
+
+@given(_runs_strategy())
+@example(([], 2, True))
+@settings(max_examples=150, deadline=None)
+def test_encode_then_decode_term_runs_round_trips(case):
+    from refimage_ray.index.reader import decode_term_runs, encode_term_runs
+
+    runs, block_size, positional = case
+    starts, ends, ids, tfs, dls, w, pos = _flat(runs, positional)
+    cols = encode_term_runs(starts, ends, ids, tfs, dls, w, block_size, pos)
+    t = pa.table({k: cols[k] for k in ("doc_ids", "tfs", "dls", "weights", "positions")
+                  if k in cols})
+    got = decode_term_runs(t, np.arange(len(runs)), np.zeros(0, np.int64))
+    assert len(got) == len(runs)
+    ctf = np.concatenate(([0], np.cumsum(tfs)))
+    for (s, e), (g_ids, g_w, g_tfs, g_dls, g_pos) in zip(zip(starts, ends), got):
+        assert g_ids.tobytes() == ids[s:e].tobytes()
+        assert g_w.tobytes() == w[s:e].tobytes()
+        assert np.array_equal(g_tfs, tfs[s:e]) and np.array_equal(g_dls, dls[s:e])
+        if positional:
+            assert g_pos.tobytes() == pos[ctf[s]:ctf[e]].tobytes()
+        else:
+            assert g_pos is None
+
+
+def test_encode_term_runs_rejects_runs_that_do_not_partition():
+    from refimage_ray.index.reader import encode_term_runs
+
+    ids = np.arange(4, dtype=np.int64)
+    one = np.ones(4, np.int64)
+    for starts, ends in (([0, 1], [1, 3]), ([0, 2], [2, 2]), ([1], [4])):
+        with pytest.raises(ValueError, match="partition"):
+            encode_term_runs(np.array(starts), np.array(ends), ids, one, one,
+                             one.astype(np.float64), 2)
