@@ -18,6 +18,13 @@ def sorted_membership(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     )
 
 
+def _records(hi: np.ndarray, lo: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    rec = np.empty(len(hi), dtype)
+    rec["hi"] = hi
+    rec["lo"] = lo
+    return rec
+
+
 def sorted_pair_membership(
     sorted_hi: np.ndarray,
     sorted_lo: np.ndarray,
@@ -47,13 +54,21 @@ def sorted_pair_membership(
         hit[one] = sorted_lo[left[one]] == lo[one]
         member[one] = hit[one]
         idx[one] = left[one]
-        # hi-half collisions across distinct 128-bit keys are ~2^-64 —
-        # resolve multi-row runs exactly anyway (lo sorted within a run)
-        for i in np.flatnonzero(width > 1):
-            j = np.searchsorted(sorted_lo[left[i] : right[i]], lo[i])
-            if j < width[i] and sorted_lo[left[i] + j] == lo[i]:
-                member[i] = True
-                idx[i] = left[i] + j
+        # probes in multi-row hi runs (rare for hash halves; the rule
+        # for (doc_id, segment) keys): one searchsorted over (hi, lo)
+        # records, whose field-wise order IS the lexsort order.  Built
+        # only when needed — probing every key this way is ~2x slower
+        # than the hi-only pass when hi never repeats.
+        multi = np.flatnonzero(width > 1)
+        if len(multi):
+            dt = np.dtype([("hi", sorted_hi.dtype), ("lo", sorted_lo.dtype)])
+            keys = _records(sorted_hi, sorted_lo, dt)
+            probe = _records(hi[multi], lo[multi], dt)
+            j = np.searchsorted(keys, probe)
+            found = j < len(keys)
+            found[found] = keys[j[found]] == probe[found]
+            member[multi] = found
+            idx[multi[found]] = j[found]
     if return_index:
         return member, idx
     return member

@@ -22,6 +22,15 @@ aggregate is a narrow vocab-sized shuffle) and stored in
 functions unchanged (same ascending-term accumulation order), so each
 doc's float score is the same bit pattern — asserted in tests.
 
+Serving is one coordinator with two transports.  ``_ShardGroup`` owns
+a set of loaded shard views and answers each operator's per-group
+partial; ``_DocPartCoordinator`` implements every public operator once
+(fan out, merge the partials).  The deployments differ only in
+``_scatter``: :class:`DocPartSearcher` calls one resident group
+directly, :class:`DistributedDocPartSearcher` fans out over
+``ray.remote(_ShardGroup)`` actors.  Ray is imported only by the build
+and the distributed searcher.
+
 Reference analog: the declared-but-unimplemented alternative index
 strategies (``/root/reference/src/refimage/config.py:50-52``); the
 serving shape mirrors ``load_index``-once-then-query
@@ -30,6 +39,7 @@ serving shape mirrors ``load_index``-once-then-query
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -38,10 +48,6 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray
-import ray.data as rd
-from ray.data.aggregate import Count, Sum
 
 from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.index.manifest import atomic_write_bytes
@@ -57,23 +63,6 @@ from refimage_ray.query.scorer import bm25_weight
 from refimage_ray.stages.tokenize import doc_stats_batch, tokenize_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _accumulate_composite(merged: "dict[tuple, int]", buckets) -> None:
-    """Fold one partial bucket list into the additive merge — the ONE
-    implementation every composite merge site shares, so the exactness
-    contract (docpart pages == term-layout pages) cannot drift."""
-    for b in buckets:
-        merged[b["key"]] = merged.get(b["key"], 0) + b["doc_count"]
-
-
-def _composite_page(merged: "dict[tuple, int]", size: int) -> dict:
-    """Key-ascending page cut over the globally merged bucket map —
-    shared by the in-process and scatter-gather composites."""
-    keys = sorted(merged)
-    page = [{"key": k, "doc_count": merged[k]} for k in keys[:size]]
-    after_key = page[-1]["key"] if page and len(keys) > size else None
-    return {"buckets": page, "after_key": after_key}
 
 
 def _doc_shard_of(doc_ids: np.ndarray, num_doc_shards: int) -> np.ndarray:
@@ -164,6 +153,8 @@ def build_doc_partitioned(
     are exact by additivity (see ``index/docvalues.py``).  The side
     pass ships only (doc_id + value columns) — a narrow shuffle.
     """
+    from ray.data.aggregate import Count, Sum
+
     os.makedirs(index_dir, exist_ok=True)
     # clear stale outputs from a prior/crashed run: leftover
     # docshard-*.parquet files are globbed by prefix at load time, and
@@ -262,23 +253,6 @@ def build_doc_partitioned(
         json.dumps(manifest, indent=1).encode(),
     )
     return manifest
-
-
-def _merge_grouped(
-    parts: "list[list[tuple[str, int, float]]]", k: int
-) -> list[tuple[str, int, float]]:
-    """Merge per-shard grouped top-k rows (disjoint doc subsets → the
-    global per-group winners are in the union): re-sort each group by
-    (score desc, doc_id asc), truncate to k, groups in lex order."""
-    acc: dict[str, list[tuple[int, float]]] = {}
-    for rows in parts:
-        for g, d, s in rows:
-            acc.setdefault(g, []).append((int(d), float(s)))
-    out: list[tuple[str, int, float]] = []
-    for g in sorted(acc):
-        hits = sorted(acc[g], key=lambda x: (-x[1], x[0]))[:k]
-        out.extend((g, d, s) for d, s in hits)
-    return out
 
 
 def _load_global_df(index_dir: str) -> dict:
@@ -391,49 +365,6 @@ def _load_shard_view(
     return _ShardView(tm, dv)
 
 
-def _phrase_prefix_composed(
-    searcher, expander, phrase: str, k, threshold,
-    cfg: EngineConfig, offset: int, slop: int,
-    max_expansions: "int | None",
-) -> list[tuple[int, float]]:
-    """match_phrase_prefix by composition over any searcher exposing
-    ``search_phrase``: complete the last token against the global
-    vocabulary, run one phrase query per completion, merge under
-    per-doc max score, one global top-k cut.  Exact: a doc outside
-    every completion's top-(k+offset) is dominated by ≥k+offset docs
-    globally (per-completion cut lines), ties resolved identically by
-    the shared (score desc, doc_id asc) rule."""
-    import numpy as np
-
-    from refimage_ray.functions.text import tokenize
-    from refimage_ray.query.scorer import topk_select
-
-    k = cfg.default_k if k is None else k
-    threshold = cfg.default_threshold if threshold is None else threshold
-    toks = tokenize(phrase, expander._token_pattern, expander._term_filter)
-    if not toks:
-        return []
-    head, last = toks[:-1], toks[-1]
-    cap = cfg.max_expansions if max_expansions is None else max_expansions
-    expansions = expander.expand("prefix", last, cap)
-    if not expansions:
-        return []
-    best: dict[int, float] = {}
-    for e in expansions:
-        for d, s in searcher.search_phrase(
-            " ".join([*head, e]), k=k + offset, threshold=threshold,
-            cfg=cfg, slop=slop,
-        ):
-            if d not in best or s > best[d]:
-                best[d] = s
-    if not best:
-        return []
-    ids = np.fromiter(best.keys(), np.int64, len(best))
-    sc = np.fromiter(best.values(), np.float64, len(best))
-    out_ids, out_sc = topk_select(ids, sc, k + offset, threshold)
-    return list(zip(out_ids.tolist(), out_sc.tolist()))[offset:]
-
-
 class _GlobalVocabExpander:
     """Prefix/fuzzy expansion for the doc-partitioned layout, probed
     against the artifact's GLOBAL ``terms/`` table (term → global df).
@@ -498,487 +429,6 @@ class _GlobalVocabExpander:
 
         tok, pairs = self.pairs("fuzzy", term)
         return rank_suggestions(pairs, tok, max_suggestions)
-
-
-class DocPartSearcher:
-    """Scatter-gather searcher over the doc-partitioned artifact.
-
-    Loads every shard's postings once (the load-once contract), builds
-    one in-process sub-searcher per shard — each reuses the engine's
-    scoring path via ``_SearcherBase`` with GLOBAL df/N/avgdl — and
-    merges per-shard top-k lists.  The merge is exact: doc shards are
-    disjoint, so each doc's full score comes from exactly one shard,
-    and the global top-k is contained in the union of per-shard
-    top-ks.  Scores are bit-identical to ``LocalSearcher`` on the
-    term-partitioned artifact (same accumulation code and order).
-    """
-
-    def __init__(self, index_dir: str) -> None:
-        from refimage_ray.query.engine import _SearcherBase
-
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            man = json.load(f)
-        if man.get("layout") != "doc-partitioned":
-            raise ValueError(f"{index_dir} is not a doc-partitioned index")
-        self.index_dir = index_dir
-        self.manifest = man
-        self.n_docs = int(man["stats"]["n_docs"])
-        self.avgdl = float(man["stats"]["avgdl"])
-
-        self._global_df = _load_global_df(index_dir)
-        self._expander = _GlobalVocabExpander(
-            self._global_df, man["config"].get("token_pattern"),
-            man["config"].get("term_filter", "none"),
-        )
-        files = sorted(
-            f for f in os.listdir(index_dir)
-            if f.startswith("docshard-") and f.endswith(".parquet")
-        )
-        self.shards = [
-            _load_shard_view(index_dir, f, self.n_docs, self.avgdl,
-                             self._global_df,
-                             man["config"].get("token_pattern"),
-                             dead=_load_tombstones(index_dir),
-                             term_filter=man["config"].get("term_filter",
-                                                           "none"))
-            for f in files
-        ]
-
-    def search(
-        self,
-        query: str,
-        k: int | None = None,
-        threshold: float | None = None,
-        mode: str = "or",
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        where=None,
-        offset: int = 0,
-        min_match: int | None = None,
-        after: "tuple[float, int] | None" = None,
-        boost=None,  # DecaySpec — per-doc factor, so shard-exact too
-        order_by=None,
-    ) -> list[tuple[int, float]]:
-        from refimage_ray.query.scorer import topk_select
-
-        if order_by is not None:
-            return self._search_ordered(
-                query, k, threshold, mode, cfg, where, offset,
-                min_match, after, boost, order_by,
-            )
-
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        # pagination: each shard returns its top (k+offset) — the global
-        # page is contained in the union (disjoint doc subsets).
-        # min_match and the after-cursor are shard-exact: a doc's
-        # postings live entirely in its one shard, so per-shard counts
-        # and per-doc cursor masks are global.
-        kk = k + offset
-        ids_parts, score_parts = [], []
-        for sh in self.shards:
-            hits = sh.search(query, k=kk, threshold=threshold, mode=mode,
-                             cfg=cfg, where=where, min_match=min_match,
-                             after=after, boost=boost)
-            if hits:
-                ids_parts.append(np.array([d for d, _ in hits], np.int64))
-                score_parts.append(np.array([s for _, s in hits], np.float64))
-        if not ids_parts:
-            return []
-        ids, scores = topk_select(
-            np.concatenate(ids_parts), np.concatenate(score_parts), kk, threshold
-        )
-        return list(zip(ids.tolist(), scores.tolist()))[offset:]
-
-    def _search_ordered(
-        self, query, k, threshold, mode, cfg, where, offset,
-        min_match, after, boost, order_by,
-    ) -> list[tuple[int, float]]:
-        """Field-ordered search across doc shards — exact: each shard
-        returns its top (k+offset) under the SAME total order (order
-        keys, doc_id asc), and disjoint doc subsets mean the global
-        page is contained in the union.  The merge re-sorts on the
-        DECODED order values: categorical codes are shard-local
-        dictionaries, so codes are decoded to strings per shard and
-        re-factorized globally (numeric/timestamp values compare
-        directly)."""
-        from refimage_ray.query.engine import _normalize_order_by
-
-        order_keys = _normalize_order_by(order_by)
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        kk = k + offset
-        cols = [c for c, _ in order_keys]
-        parts = []  # (ids, scores, [(kind, values, null_mask), ...])
-        for sh in self.shards:
-            hits = sh.search(query, k=kk, threshold=threshold, mode=mode,
-                             cfg=cfg, where=where, min_match=min_match,
-                             after=after, boost=boost, order_by=order_by)
-            part = _ordered_part(sh, hits, cols)
-            if part is not None:
-                parts.append(part)
-        return _merge_ordered(parts, order_keys, kk)[offset:]
-
-    def search_phrase(
-        self,
-        phrase: str,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        offset: int = 0,
-        slop: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Phrase / proximity top-k over the doc-partitioned layout:
-        each shard verifies from ITS positional postings (a phrase
-        match is doc-local, so shard results are exact and the top-k
-        merge is exact by disjointness).  Requires the artifact to be
-        built with ``store_positions=True`` — doc shards hold no text,
-        so there is no fallback verify path here."""
-        if not self.manifest["config"].get("store_positions"):
-            raise ValueError(
-                "phrase search on a doc-partitioned artifact requires "
-                "build_doc_partitioned with cfg.store_positions=True "
-                "(doc shards store no text to verify against)"
-            )
-        from refimage_ray.query.scorer import topk_select
-
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        kk = k + offset
-        ids_parts, score_parts = [], []
-        for sh in self.shards:
-            hits = sh.search_phrase(phrase, k=kk, threshold=threshold,
-                                    cfg=cfg, slop=slop)
-            if hits:
-                ids_parts.append(np.array([d for d, _ in hits], np.int64))
-                score_parts.append(np.array([s for _, s in hits], np.float64))
-        if not ids_parts:
-            return []
-        ids, scores = topk_select(
-            np.concatenate(ids_parts), np.concatenate(score_parts), kk, threshold
-        )
-        return list(zip(ids.tolist(), scores.tolist()))[offset:]
-
-    def search_near(
-        self,
-        query: str,
-        window: int,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Unordered-proximity (NEAR/W) top-k across doc shards — each
-        shard verifies against its own positional postings
-        (``_SearcherBase.search_near``), merge is exact because doc
-        shards are disjoint.  Requires ``store_positions=True`` like
-        phrase search (doc shards store no text to fall back on)."""
-        if not self.manifest["config"].get("store_positions"):
-            raise ValueError(
-                "near search on a doc-partitioned artifact requires "
-                "build_doc_partitioned with cfg.store_positions=True "
-                "(doc shards store no text to verify against)"
-            )
-        from refimage_ray.query.scorer import topk_select
-
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        kk = k + offset
-        ids_parts, score_parts = [], []
-        for sh in self.shards:
-            hits = sh.search_near(query, window, k=kk, threshold=threshold,
-                                  cfg=cfg)
-            if hits:
-                ids_parts.append(np.array([d for d, _ in hits], np.int64))
-                score_parts.append(np.array([s for _, s in hits], np.float64))
-        if not ids_parts:
-            return []
-        ids, scores = topk_select(
-            np.concatenate(ids_parts), np.concatenate(score_parts), kk, threshold
-        )
-        return list(zip(ids.tolist(), scores.tolist()))[offset:]
-
-    def search_grouped(
-        self,
-        query: str,
-        by: str,
-        k_per_group: int = 3,
-        mode: str = "or",
-        where=None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        groups: "list[str] | None" = None,
-    ) -> list[tuple[str, int, float]]:
-        """Grouped top-k over the doc-partitioned layout: each shard
-        returns its per-group top-k from shard-local values; the global
-        per-group winners are contained in the union (disjoint docs),
-        so the merge re-sorts and truncates per group — exact."""
-        parts = [
-            sh.search_grouped(query, by, k_per_group=k_per_group, mode=mode,
-                              where=where, threshold=threshold, cfg=cfg,
-                              groups=groups)
-            for sh in self.shards
-        ]
-        return _merge_grouped(parts, k_per_group)
-
-    def count(
-        self,
-        query: str,
-        mode: str = "or",
-        where=None,
-        min_match: "int | None" = None,
-    ) -> int:
-        """Exact hit count, doc-partitioned: shard counts sum exactly
-        (doc shards are disjoint)."""
-        return sum(
-            sh.count(query, mode=mode, where=where, min_match=min_match)
-            for sh in self.shards
-        )
-
-    def facets(
-        self,
-        query: str,
-        by: "list[str] | None" = None,
-        mode: str = "or",
-        where=None,
-        histograms: "dict[str, float] | None" = None,
-        top: int | None = None,
-        sums: "dict[str, str] | None" = None,
-        date_histograms: "dict[str, str] | None" = None,
-        percentiles=None,
-        percentile_gather_cap: int = 1_000_000,
-    ) -> dict:
-        """Facet aggregation, doc-partitioned: each shard counts over
-        ITS match subset from shard-local doc values; counts and sums
-        merge additively (doc shards are disjoint → exact).  ``top``
-        applies only after the merge."""
-        from refimage_ray.index.docvalues import merge_facet_results
-
-        parts = [
-            sh.facets(query, by=by, mode=mode, where=where,
-                      histograms=histograms, sums=sums,
-                      date_histograms=date_histograms)
-            for sh in self.shards
-        ]
-        pct = None
-        if percentiles:
-            # percentiles are NOT additive: gather each shard's match
-            # VALUES (capped) and rank-select over the concatenation —
-            # exact, bounded, one extra round trip.  Above the cap,
-            # fall back to exact histogram-bisection selection
-            # (O(buckets) exchange per round, match-size independent).
-            from refimage_ray.index.docvalues import select_percentiles
-
-            try:
-                gathered = [
-                    sh.match_values(query, sorted(percentiles), mode=mode,
-                                    where=where, cap=percentile_gather_cap)
-                    for sh in self.shards
-                ]
-                pct = {
-                    c: select_percentiles(
-                        np.concatenate([g[c] for g in gathered])
-                        if gathered else np.zeros(0),
-                        qs,
-                    )
-                    for c, qs in percentiles.items()
-                }
-            except ValueError as e:
-                if not _is_gather_cap_error(e):
-                    raise
-                pct = _selection_percentiles(
-                    lambda m, *a: [getattr(sh, m)(*a) for sh in self.shards],
-                    percentiles, query, mode, where,
-                )
-        out = merge_facet_results(parts, top=top)
-        if pct is not None:
-            out["percentiles"] = pct
-        for c in by or []:  # zero-shard (empty corpus) edge
-            out["facets"].setdefault(c, [])
-        for c in histograms or {}:
-            out["histograms"].setdefault(c, [])
-        if date_histograms:
-            out.setdefault("date_histograms", {})
-            for c in date_histograms:
-                out["date_histograms"].setdefault(c, [])
-        if sums:
-            out.setdefault("sums", {})
-            for c in sums:
-                out["sums"].setdefault(c, [])
-        return out
-
-    def _search_expanded(
-        self, kind: str, arg: str, k, threshold, cfg: EngineConfig,
-        max_expansions: "int | None", where=None, order_by=None,
-        offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        cap = cfg.max_expansions if max_expansions is None else max_expansions
-        terms = self._expander.expand(kind, arg, cap)
-        if not terms:
-            return []
-        # expanded terms are tokens, so the joined string re-tokenizes
-        # to exactly this set — identical to an OR query over it
-        return self.search(" ".join(terms), k=k, threshold=threshold,
-                           mode="or", cfg=cfg, where=where,
-                           order_by=order_by, offset=offset)
-
-    def suggest(self, term: str, max_suggestions: int = 5) -> list[dict]:
-        """Did-you-mean over the global terms table (see
-        ``engine._SearcherBase.suggest``)."""
-        return self._expander.suggest(term, max_suggestions)
-
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
-        """(term, df) pairs from the global terms table (the engine
-        ABC's vocabulary-browse contract — serve /terms)."""
-        return self._expander.pairs(kind, arg)[1]
-
-    def composite(
-        self,
-        query: str,
-        by: "list[str]",
-        size: int = 10,
-        after: "tuple | None" = None,
-        mode: str = "or",
-        where=None,
-    ) -> dict:
-        """EXACT composite after-key paging on the doc-partitioned
-        layout (the batch/offline path).
-
-        The ES ``shard_size`` truncation problem — a shard's
-        size-bounded page dropping other shards' counts for boundary
-        keys — cannot occur here because each shard returns its FULL
-        bucket list past the cursor (``engine.composite_all``);
-        counts merge additively (doc shards are disjoint), keys sort
-        ascending, and the page cut happens only after the global
-        merge.  Cost per page: O(distinct key-tuples past the cursor)
-        per shard — the cardinality assumption facets already make —
-        independent of match-set size.  Results are identical to the
-        term-partitioned ``engine.composite`` (asserted in tests).
-        """
-        if size <= 0:
-            raise ValueError(f"size must be > 0, got {size}")
-        merged: "dict[tuple, int]" = {}
-        for sh in self.shards:
-            _accumulate_composite(
-                merged,
-                sh.composite_all(query, by, mode=mode, after=after,
-                                 where=where),
-            )
-        return _composite_page(merged, size)
-
-    def search_prefix(self, prefix: str, k=None, threshold=None,
-                      cfg: EngineConfig = DEFAULT_CONFIG,
-                      max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Prefix top-k over the doc-partitioned layout (see
-        ``engine.search_prefix``) — expansion against the global terms
-        table, scoring via the exact scatter-gather path."""
-        return self._search_expanded("prefix", prefix, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_phrase_prefix(self, phrase: str, k=None, threshold=None,
-                             cfg: EngineConfig = DEFAULT_CONFIG,
-                             offset: int = 0, slop: int = 0,
-                             max_expansions: "int | None" = None):
-        """Search-as-you-type over the doc-partitioned layout (see
-        ``engine.search_phrase_prefix``): last token completed against
-        the GLOBAL terms table (every shard sees the same completion
-        set), each completion a docpart phrase query, per-doc max-merge
-        — exact by the same per-completion cut-line dominance as the
-        term layout."""
-        return _phrase_prefix_composed(
-            self, self._expander, phrase, k, threshold, cfg, offset, slop,
-            max_expansions,
-        )
-
-    def search_fuzzy(self, term: str, k=None, threshold=None,
-                     cfg: EngineConfig = DEFAULT_CONFIG,
-                     max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Levenshtein-≤1 fuzzy top-k over the doc-partitioned layout
-        (see ``engine.search_fuzzy``)."""
-        return self._search_expanded("fuzzy", term, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_wildcard(self, pattern: str, k=None, threshold=None,
-                        cfg: EngineConfig = DEFAULT_CONFIG,
-                        max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Glob wildcard top-k over the doc-partitioned layout (see
-        ``engine.search_wildcard``)."""
-        return self._search_expanded("wildcard", pattern, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_regex(self, pattern: str, k=None, threshold=None,
-                     cfg: EngineConfig = DEFAULT_CONFIG,
-                     max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Anchored-regex top-k over the doc-partitioned layout (see
-        ``engine.search_regex``)."""
-        return self._search_expanded("regex", pattern, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_rescore(
-        self,
-        query: str,
-        k: int | None = None,
-        window: int = 50,
-        query_weight: float = 1.0,
-        rescore_weight: float = 1.0,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        mode: str = "or",
-    ) -> list[tuple[int, float]]:
-        """Two-phase rescore on the doc-partitioned layout (see
-        ``engine.search_rescore`` for the semantics): the exact GLOBAL
-        BM25 top-``window`` comes from the scatter search; the
-        positional proximity pass then runs per shard over that
-        window's docs (each doc's positions live wholly in its one
-        shard, so the per-shard gap vectors combine by elementwise min
-        into exactly the term layout's gaps — same prox, same combined
-        scores).  Needs ``store_positions`` — this layout keeps no
-        text store to fall back to."""
-        from refimage_ray.functions.text import tokenize
-        from refimage_ray.query.engine import (
-            _min_pair_gaps_positions,
-            _rescore_combine,
-            query_terms,
-        )
-
-        k = cfg.default_k if k is None else k
-        if k > window:
-            raise ValueError(f"k ({k}) must be <= window ({window})")
-        base = self.search(query, k=window, threshold=threshold,
-                           mode=mode, cfg=cfg)
-        if not base:
-            return []
-        man_cfg = self.manifest["config"]
-        terms = query_terms(tokenize(
-            query, man_cfg.get("token_pattern"),
-            man_cfg.get("term_filter", "none"),
-        ))
-
-        def gaps_of(cand_s: np.ndarray) -> np.ndarray:
-            g = np.full(len(cand_s), np.inf)
-            if len(terms) < 2:
-                return g
-            for sh in self.shards:
-                tm = sh._term_map(terms)
-                if not tm:
-                    continue
-                if any(p.positions is None for p in tm.values()):
-                    raise ValueError(
-                        "rescore_window needs a positional "
-                        "doc-partitioned artifact (store_positions): "
-                        "this layout keeps no text store to fall "
-                        "back to"
-                    )
-                g = np.minimum(
-                    g, _min_pair_gaps_positions(tm, terms, cand_s)
-                )
-            return g
-
-        return _rescore_combine(base, gaps_of, k, query_weight,
-                                rescore_weight)
 
 
 def _ordered_part(view, hits, cols):
@@ -1055,10 +505,9 @@ def _selection_percentiles(
     INDEPENDENT, so this works when the capped value gather cannot.
 
     ``shard_call(method_name, *args) -> list[per-shard result]`` is the
-    only transport dependency — the local searcher passes a direct
-    loop, the distributed one a ray.get fan-out.  Shards recompute
-    their match set per round (2–4 rounds typical): recompute is
-    shard-local and parallel; what this path refuses to do is ship
+    only transport dependency (the coordinator's ``_views``).  Shards
+    recompute their match set per round (2–4 rounds typical): recompute
+    is shard-local and parallel; what this path refuses to do is ship
     O(match) values to the driver."""
     import math
 
@@ -1102,53 +551,74 @@ def _selection_percentiles(
     return out
 
 
-def _is_gather_cap_error(e: BaseException) -> bool:
-    return "exceeds the gather cap" in str(e)
+def _merge_topk(
+    parts: "list[list[tuple[int, float]]]", k: int, threshold: float
+) -> list[tuple[int, float]]:
+    """Global (score desc, doc_id asc) top-k over per-group hit lists —
+    exact because doc shards are disjoint: each doc's full score comes
+    from its one shard, so the global top-k is in the union of the
+    per-shard top-ks."""
+    from refimage_ray.query.scorer import topk_select
+
+    hits = [h for part in parts for h in part]
+    if not hits:
+        return []
+    ids, scores = topk_select(
+        np.array([d for d, _ in hits], np.int64),
+        np.array([s for _, s in hits], np.float64), k, threshold,
+    )
+    return list(zip(ids.tolist(), scores.tolist()))
 
 
-@ray.remote
-class _DocShardActor:
-    """Serving actor owning a subset of doc shards — postings loaded
-    ONCE in ``__init__`` (the load-once contract), queries answered
-    from memory.  The cluster shape of a doc-partitioned engine: one
-    such actor per node, scatter-gather from the driver."""
+class _ShardGroup:
+    """The doc shards one process serves — shard views loaded ONCE in
+    ``__init__`` (the load-once contract), queries answered from
+    memory.  :meth:`each` runs one view operator on every view; the
+    other methods are partials that need the views themselves (ordered
+    pages, proximity gaps) or merge inside the group (facets).
+    :class:`_DocPartCoordinator` merges the partials across groups.  In
+    process, a searcher holds one group over every shard; distributed,
+    each actor is ``ray.remote`` of this same class over a subset of
+    the shards (one per node: the cluster shape of a doc-partitioned
+    engine)."""
 
-    def __init__(self, index_dir: str, fnames: list[str], n_docs: int,
-                 avgdl: float) -> None:
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            _cfg = json.load(f)["config"]
-        tp = _cfg.get("token_pattern")
-        tfilt = _cfg.get("term_filter", "none")
-        global_df = _load_global_df(index_dir)
-        self._views = [
-            _load_shard_view(index_dir, f, n_docs, avgdl, global_df, tp,
-                             dead=_load_tombstones(index_dir),
-                             term_filter=tfilt)
+    def __init__(self, index_dir: str, fnames: list[str], manifest: dict,
+                 global_df: "dict | None" = None) -> None:
+        if global_df is None:
+            global_df = _load_global_df(index_dir)
+        dead = _load_tombstones(index_dir)
+        st, cfg = manifest["stats"], manifest["config"]
+        self.views = [
+            _load_shard_view(index_dir, f, int(st["n_docs"]),
+                             float(st["avgdl"]), global_df,
+                             cfg.get("token_pattern"), dead=dead,
+                             term_filter=cfg.get("term_filter", "none"))
             for f in fnames
         ]
 
-    def search(
-        self, query: str, k: int, threshold: float, mode: str, where=None,
-        min_match: "int | None" = None,
-        after: "tuple[float, int] | None" = None,
-        boost=None,
-    ) -> list[tuple[int, float]]:
-        out: list[tuple[int, float]] = []
-        for v in self._views:
-            out.extend(v.search(query, k=k, threshold=threshold, mode=mode,
-                                where=where, min_match=min_match,
-                                after=after, boost=boost))
-        return out
+    @classmethod
+    def of(cls, views: list) -> "_ShardGroup":
+        """A group over views that are already resident (the NRT
+        searcher's buffer-merging shard wrappers)."""
+        group = cls.__new__(cls)
+        group.views = views
+        return group
 
-    def search_ordered(
-        self, query: str, k: int, threshold: float, mode: str, where,
-        min_match, boost, order_by, cols: list,
-    ) -> list:
+    def each(self, op: str, args: tuple, kwargs: dict) -> list:
+        """One operator's answer from every view of this group, in
+        shard order.  The keyword arguments travel as one dict: an
+        actor call with many keyword arguments costs ~0.2 ms more (one
+        CPU)."""
+        return [getattr(v, op)(*args, **kwargs) for v in self.views]
+
+    def search_ordered(self, query: str, k: int, threshold: float,
+                       mode: str, where, min_match, boost, order_by,
+                       cols: list) -> list:
         """Per-view ordered pages + DECODED order-key triplets (the
         shard-local categorical dictionaries never leave as codes) —
-        merged by the driver's ``_merge_ordered``."""
+        merged by ``_merge_ordered``."""
         parts = []
-        for v in self._views:
+        for v in self.views:
             hits = v.search(query, k=k, threshold=threshold, mode=mode,
                             where=where, min_match=min_match, boost=boost,
                             order_by=order_by)
@@ -1159,12 +629,12 @@ class _DocShardActor:
 
     def min_pair_gaps(self, terms: list, cand: np.ndarray) -> np.ndarray:
         """Min pairwise term-position gap per candidate over this
-        actor's views (inf where the doc is elsewhere / <2 terms) —
-        the rescore proximity basis; needs store_positions."""
+        group's views (inf where the doc is elsewhere) — the rescore
+        proximity basis; needs store_positions."""
         from refimage_ray.query.engine import _min_pair_gaps_positions
 
         g = np.full(len(cand), np.inf)
-        for v in self._views:
+        for v in self.views:
             tm = v._term_map(terms)
             if not tm:
                 continue
@@ -1177,146 +647,89 @@ class _DocShardActor:
             g = np.minimum(g, _min_pair_gaps_positions(tm, terms, cand))
         return g
 
-    def search_grouped(self, query: str, by: str, k_per_group: int,
-                       mode: str, where, groups) -> list:
-        out: list = []
-        for v in self._views:
-            out.extend(v.search_grouped(query, by, k_per_group=k_per_group,
-                                        mode=mode, where=where,
-                                        groups=groups))
-        return out
-
-    def count(self, query: str, mode: str, where=None,
-              min_match: "int | None" = None) -> int:
-        return sum(
-            v.count(query, mode=mode, where=where, min_match=min_match)
-            for v in self._views
-        )
-
-    def search_phrase(self, phrase: str, k: int, threshold: float,
-                      slop: int = 0) -> list[tuple[int, float]]:
-        out: list[tuple[int, float]] = []
-        for v in self._views:
-            out.extend(v.search_phrase(phrase, k=k, threshold=threshold,
-                                       slop=slop))
-        return out
-
-    def search_near(self, query: str, window: int, k: int,
-                    threshold: float) -> list[tuple[int, float]]:
-        out: list[tuple[int, float]] = []
-        for v in self._views:
-            out.extend(v.search_near(query, window, k=k,
-                                     threshold=threshold))
-        return out
-
-    def match_values(self, query: str, cols, mode: str = "or",
-                     where=None, cap: int = 1_000_000) -> dict:
-        """Concatenated match values across this actor's shard views
-        (the percentile gather primitive; cap applies per view)."""
-        import numpy as _np
-
-        parts = [v.match_values(query, cols, mode=mode, where=where,
-                                cap=cap) for v in self._views]
-        return {
-            c: (_np.concatenate([p[c] for p in parts])
-                if parts else _np.zeros(0))
-            for c in cols
-        }
-
     def facets(self, query: str, by, mode: str, where, histograms,
                sums=None, date_histograms=None) -> dict:
-        """Partial facet counts over this actor's doc shards (values
-        are shard-local; the driver's merge is exact by additivity)."""
+        """Partial facet counts over this group's doc shards (values
+        are shard-local; the cross-group merge is exact by
+        additivity).  Merged per group so float sums add in the same
+        order on every deployment of the same group split."""
         from refimage_ray.index.docvalues import merge_facet_results
 
         return merge_facet_results([
             v.facets(query, by=by, mode=mode, where=where,
                      histograms=histograms, sums=sums,
                      date_histograms=date_histograms)
-            for v in self._views
-        ])
-
-    def composite_all(self, query, by, mode, where, after) -> list[dict]:
-        """FULL per-key bucket counts past the cursor over this
-        actor's doc shards — additive partials for the driver's exact
-        composite merge (no per-shard size bound: the ES shard_size
-        truncation cannot occur)."""
-        merged: "dict[tuple, int]" = {}
-        for v in self._views:
-            _accumulate_composite(
-                merged,
-                v.composite_all(query, by, mode=mode, after=after,
-                                where=where),
-            )
-        return [{"key": k, "doc_count": n} for k, n in merged.items()]
-
-    def match_value_stats(self, query, col, mode, where):
-        parts = [v.match_value_stats(query, col, mode, where)
-                 for v in self._views]
-        parts = [p for p in parts if p[0]]
-        if not parts:
-            return 0, float("nan"), float("nan")
-        return (sum(p[0] for p in parts), min(p[1] for p in parts),
-                max(p[2] for p in parts))
-
-    def match_value_histogram(self, query, col, mode, where, lo, hi, buckets):
-        import numpy as _np
-
-        cs, mns, mxs = zip(*[
-            v.match_value_histogram(query, col, mode, where, lo, hi, buckets)
-            for v in self._views
-        ])
-        return (_np.sum(cs, axis=0), _np.minimum.reduce(mns),
-                _np.maximum.reduce(mxs))
-
-    def match_value_bucket(self, query, col, mode, where, lo, hi, buckets, j):
-        import numpy as _np
-
-        return _np.concatenate([
-            v.match_value_bucket(query, col, mode, where, lo, hi, buckets, j)
-            for v in self._views
+            for v in self.views
         ])
 
 
-class DistributedDocPartSearcher:
-    """Scatter-gather over ``_DocShardActor``s — identical results to
-    :class:`DocPartSearcher` (same per-shard scoring, same merge), but
-    shard evaluation fans out across the cluster.  Use for serving
-    when one process can't hold every shard's postings."""
+class _DocPartCoordinator:
+    """Every doc-partitioned operator, implemented once: fan a call
+    out to the shard groups, merge the partials.  Each merge is exact
+    because doc shards are disjoint — a doc's postings and values live
+    wholly in one shard, so top-k lists, counts and bucket maps
+    combine without loss, and scores are bit-identical to
+    ``LocalSearcher`` on the term-partitioned artifact (same per-shard
+    accumulation code and order).
 
-    def __init__(self, index_dir: str, num_actors: int = 4) -> None:
+    The one transport seam is :meth:`_scatter`; subclasses differ only
+    in how a call reaches the groups."""
+
+    index_dir: str
+    manifest: dict
+    # the artifact's global terms table (term → df) and its expansion
+    # probes, loaded on first use
+    _global_df: "dict | None" = None
+    _expander: "_GlobalVocabExpander | None" = None
+
+    def _open(self, index_dir: str) -> list[str]:
+        """Read the manifest; return the shard file names."""
         with open(os.path.join(index_dir, "manifest.json")) as f:
             man = json.load(f)
         if man.get("layout") != "doc-partitioned":
             raise ValueError(f"{index_dir} is not a doc-partitioned index")
         self.index_dir = index_dir
         self.manifest = man
-        self._token_pattern = man["config"].get("token_pattern")
-        self._expander: "_GlobalVocabExpander | None" = None  # lazy
         self.n_docs = int(man["stats"]["n_docs"])
         self.avgdl = float(man["stats"]["avgdl"])
-        files = sorted(
+        return sorted(
             f for f in os.listdir(index_dir)
             if f.startswith("docshard-") and f.endswith(".parquet")
         )
-        num_actors = max(1, min(num_actors, len(files) or 1))
-        assign: list[list[str]] = [[] for _ in range(num_actors)]
-        for i, f in enumerate(files):
-            assign[i % num_actors].append(f)
-        # idempotent restart (immutable artifact, tiny ctor args) —
-        # same policy as DistributedSearcher: a dead actor reloads its
-        # shards and the in-flight search RPC is retried transparently
-        cls = _DocShardActor.options(max_restarts=2, max_task_retries=-1)
-        self.actors = [
-            cls.remote(index_dir, fnames, self.n_docs, self.avgdl)
-            for fnames in assign if fnames
-        ]
 
-    def wait_ready(self) -> None:
-        """Block until every doc-shard actor has loaded its postings
-        (actor construction is async; see
-        ``DistributedSearcher.wait_ready``)."""
-        ray.get([a.search.remote("", 1, 0.0, "or") for a in self.actors])
+    def _scatter(self, method: str, *args) -> list:
+        """One partial per shard group: in process, a direct call on the
+        resident group (``self._group``)."""
+        return [getattr(self._group, method)(*args)]
+
+    def _views(self, op: str, *args, **kwargs) -> list:
+        """``op``'s answer from every shard view, in shard order."""
+        return [r for part in self._scatter("each", op, args, kwargs)
+                for r in part]
+
+    def _topk(self, op: str, k, threshold, offset: int, cfg: EngineConfig,
+              *args, **kwargs) -> list[tuple[int, float]]:
+        """A scoring operator's global page: each view returns its top
+        (k+offset), and the page is cut from the merged union."""
+        from refimage_ray.query.engine import _check_offset
+
+        k = cfg.default_k if k is None else k
+        threshold = cfg.default_threshold if threshold is None else threshold
+        _check_offset(offset)
+        kk = k + offset
+        # k and threshold follow the operator's leading arguments in
+        # every view signature (search, search_phrase, search_near)
+        parts = self._views(op, *args, kk, threshold, **kwargs)
+        return _merge_topk(parts, kk, threshold)[offset:]
+
+    def _require_positions(self, what: str) -> None:
+        # doc shards hold no text, so there is no verify fallback
+        if not self.manifest["config"].get("store_positions"):
+            raise ValueError(
+                f"{what} search on a doc-partitioned artifact requires "
+                "build_doc_partitioned with cfg.store_positions=True "
+                "(doc shards store no text to verify against)"
+            )
 
     def search(
         self,
@@ -1329,36 +742,345 @@ class DistributedDocPartSearcher:
         offset: int = 0,
         min_match: int | None = None,
         after: "tuple[float, int] | None" = None,
-        boost=None,
+        boost=None,  # DecaySpec — per-doc factor, so shard-exact too
         order_by=None,
     ) -> list[tuple[int, float]]:
+        """Top-k across doc shards.  min_match, the after-cursor and
+        boost are shard-exact: a doc's postings and values live
+        entirely in its one shard, so per-shard counts, cursor masks
+        and decay factors are global."""
+        if order_by is not None:
+            return self._search_ordered(
+                query, k, threshold, mode, cfg, where, offset,
+                min_match, boost, order_by, after,
+            )
+        return self._topk("search", k, threshold, offset, cfg, query,
+                          mode=mode, where=where, min_match=min_match,
+                          after=after, boost=boost)
+
+    def _search_ordered(
+        self, query, k, threshold, mode, cfg, where, offset,
+        min_match, boost, order_by, after,
+    ) -> list[tuple[int, float]]:
+        """Field-ordered search across doc shards — exact: each shard
+        returns its top (k+offset) under the SAME total order (order
+        keys, doc_id asc), and disjoint doc subsets mean the global
+        page is contained in the union.  The merge re-sorts on the
+        DECODED order values: categorical codes are shard-local
+        dictionaries, so codes are decoded to strings per shard and
+        re-factorized globally (numeric/timestamp values compare
+        directly)."""
+        from refimage_ray.query.engine import _check_offset, _normalize_order_by
+
+        if after is not None:
+            # same contract as the engine
+            raise ValueError(
+                "after= cursors the score order; it cannot combine "
+                "with order_by"
+            )
+        order_keys = _normalize_order_by(order_by)
         k = cfg.default_k if k is None else k
         threshold = cfg.default_threshold if threshold is None else threshold
+        _check_offset(offset)
         kk = k + offset
-        if order_by is not None:
-            from refimage_ray.query.engine import _normalize_order_by
+        cols = [c for c, _ in order_keys]
+        parts = [
+            p for group in self._scatter(
+                "search_ordered", query, kk, threshold, mode, where,
+                min_match, boost, order_by, cols,
+            )
+            for p in group
+        ]
+        return _merge_ordered(parts, order_keys, kk)[offset:]
 
-            if after is not None:
-                # same contract as the engine/in-process searcher
-                raise ValueError(
-                    "after= cursors the score order; it cannot combine "
-                    "with order_by"
-                )
-            order_keys = _normalize_order_by(order_by)
-            cols = [c for c, _ in order_keys]
-            part_lists = ray.get([
-                a.search_ordered.remote(query, kk, threshold, mode, where,
-                                        min_match, boost, order_by, cols)
-                for a in self.actors
-            ])
-            parts = [p for pl in part_lists for p in pl]
-            return _merge_ordered(parts, order_keys, kk)[offset:]
-        parts = ray.get(
-            [a.search.remote(query, kk, threshold, mode, where, min_match,
-                             after, boost)
-             for a in self.actors]
+    def search_phrase(
+        self,
+        phrase: str,
+        k: int | None = None,
+        threshold: float | None = None,
+        cfg: EngineConfig = DEFAULT_CONFIG,
+        offset: int = 0,
+        slop: int = 0,
+    ) -> list[tuple[int, float]]:
+        """Phrase / proximity top-k: each shard verifies from ITS
+        positional postings (a phrase match is doc-local, so shard
+        results are exact).  Requires ``store_positions=True``."""
+        self._require_positions("phrase")
+        return self._topk("search_phrase", k, threshold, offset, cfg,
+                          phrase, slop=slop)
+
+    def search_near(
+        self,
+        query: str,
+        window: int,
+        k: int | None = None,
+        threshold: float | None = None,
+        cfg: EngineConfig = DEFAULT_CONFIG,
+        offset: int = 0,
+    ) -> list[tuple[int, float]]:
+        """Unordered-proximity (NEAR/W) top-k — each shard verifies
+        against its own positional postings
+        (``_SearcherBase.search_near``).  Requires
+        ``store_positions=True`` like phrase search."""
+        self._require_positions("near")
+        return self._topk("search_near", k, threshold, offset, cfg,
+                          query, window)
+
+    def search_grouped(
+        self,
+        query: str,
+        by: str,
+        k_per_group: int = 3,
+        mode: str = "or",
+        where=None,
+        threshold: float | None = None,
+        cfg: EngineConfig = DEFAULT_CONFIG,
+        groups: "list[str] | None" = None,
+    ) -> list[tuple[str, int, float]]:
+        """Grouped top-k: each shard returns its per-group top-k from
+        shard-local values; the global per-group winners are contained
+        in the union (disjoint docs), so the merge re-sorts and
+        truncates per group — exact."""
+        threshold = cfg.default_threshold if threshold is None else threshold
+        parts = self._views(
+            "search_grouped", query, by, k_per_group=k_per_group, mode=mode,
+            where=where, threshold=threshold, groups=groups,
         )
-        return self._merge(parts, kk, threshold)[offset:]
+        acc: dict[str, list[tuple[int, float]]] = {}
+        for rows in parts:
+            for g, d, s in rows:
+                acc.setdefault(g, []).append((int(d), float(s)))
+        out: list[tuple[str, int, float]] = []
+        for g in sorted(acc):
+            hits = sorted(acc[g], key=lambda x: (-x[1], x[0]))[:k_per_group]
+            out.extend((g, d, s) for d, s in hits)
+        return out
+
+    def count(
+        self,
+        query: str,
+        mode: str = "or",
+        where=None,
+        min_match: "int | None" = None,
+    ) -> int:
+        """Exact hit count: shard counts sum exactly (doc shards are
+        disjoint)."""
+        return sum(self._views("count", query, mode, where, min_match))
+
+    def facets(
+        self,
+        query: str,
+        by: "list[str] | None" = None,
+        mode: str = "or",
+        where=None,
+        histograms: "dict[str, float] | None" = None,
+        top: int | None = None,
+        sums: "dict[str, str] | None" = None,
+        date_histograms: "dict[str, str] | None" = None,
+        percentiles=None,
+        percentile_gather_cap: int = 1_000_000,
+    ) -> dict:
+        """Facet aggregation: each shard counts over ITS match subset
+        from shard-local doc values; counts and sums merge additively
+        (doc shards are disjoint → exact).  ``top`` applies only after
+        the merge."""
+        from refimage_ray.index.docvalues import (
+            merge_facet_results,
+            select_percentiles,
+        )
+
+        parts = self._scatter("facets", query, by, mode, where, histograms,
+                              sums, date_histograms)
+        pct = None
+        if percentiles:
+            # percentiles are NOT additive: gather each shard's match
+            # VALUES (capped) and rank-select over the concatenation —
+            # exact, bounded, one extra round trip.  Above the cap,
+            # fall back to exact histogram-bisection selection
+            # (O(buckets) exchange per round, match-size independent).
+            try:
+                gathered = self._views(
+                    "match_values", query, sorted(percentiles), mode, where,
+                    percentile_gather_cap,
+                )
+                pct = {
+                    c: select_percentiles(
+                        np.concatenate([g[c] for g in gathered])
+                        if gathered else np.zeros(0),
+                        qs,
+                    )
+                    for c, qs in percentiles.items()
+                }
+            except ValueError as e:  # also a shard actor's ValueError
+                if "exceeds the gather cap" not in str(e):
+                    raise
+                pct = _selection_percentiles(
+                    self._views, percentiles, query, mode, where,
+                )
+        out = merge_facet_results(parts, top=top)
+        if pct is not None:
+            out["percentiles"] = pct
+        # a requested key is present even when nothing matched
+        for c in by or []:
+            out["facets"].setdefault(c, [])
+        for c in histograms or {}:
+            out["histograms"].setdefault(c, [])
+        for key, cols in (("date_histograms", date_histograms),
+                          ("sums", sums)):
+            if cols:
+                for c in cols:
+                    out.setdefault(key, {}).setdefault(c, [])
+        return out
+
+    def composite(
+        self,
+        query: str,
+        by: "list[str]",
+        size: int = 10,
+        after: "tuple | None" = None,
+        mode: str = "or",
+        where=None,
+    ) -> dict:
+        """EXACT composite after-key paging (the batch/offline path).
+
+        The ES ``shard_size`` truncation problem — a shard's
+        size-bounded page dropping other shards' counts for boundary
+        keys — cannot occur here because each shard returns its FULL
+        bucket list past the cursor (``engine.composite_all``);
+        counts merge additively (doc shards are disjoint), keys sort
+        ascending, and the page cut happens only after the global
+        merge.  Cost per page: O(distinct key-tuples past the cursor)
+        per shard — the cardinality assumption facets already make —
+        independent of match-set size.  Results are identical to the
+        term-partitioned ``engine.composite`` (asserted in tests).
+        """
+        if size <= 0:
+            raise ValueError(f"size must be > 0, got {size}")
+        merged: "dict[tuple, int]" = {}
+        for part in self._views("composite_all", query, by, mode, after,
+                                where):
+            for bucket in part:
+                key = bucket["key"]
+                merged[key] = merged.get(key, 0) + bucket["doc_count"]
+        keys = sorted(merged)
+        page = [{"key": k, "doc_count": merged[k]} for k in keys[:size]]
+        after_key = page[-1]["key"] if page and len(keys) > size else None
+        return {"buckets": page, "after_key": after_key}
+
+    # --- vocabulary expansion, against the GLOBAL terms table ---
+
+    def _vocab(self) -> _GlobalVocabExpander:
+        if self._expander is None:
+            if self._global_df is None:
+                self._global_df = _load_global_df(self.index_dir)
+            man_cfg = self.manifest["config"]
+            self._expander = _GlobalVocabExpander(
+                self._global_df, man_cfg.get("token_pattern"),
+                man_cfg.get("term_filter", "none"),
+            )
+        return self._expander
+
+    def suggest(self, term: str, max_suggestions: int = 5) -> list[dict]:
+        """Did-you-mean over the global terms table (see
+        ``engine._SearcherBase.suggest``)."""
+        return self._vocab().suggest(term, max_suggestions)
+
+    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
+        """(term, df) pairs from the global terms table (the engine
+        ABC's vocabulary-browse contract — serve /terms)."""
+        return self._vocab().pairs(kind, arg)[1]
+
+    def _search_expanded(
+        self, kind: str, arg: str, k, threshold, cfg: EngineConfig,
+        max_expansions: "int | None", where=None, order_by=None,
+        offset: int = 0,
+    ) -> list[tuple[int, float]]:
+        cap = cfg.max_expansions if max_expansions is None else max_expansions
+        terms = self._vocab().expand(kind, arg, cap)
+        if not terms:
+            return []
+        # expanded terms are tokens, so the joined string re-tokenizes
+        # to exactly this set — identical to an OR query over it
+        return self.search(" ".join(terms), k=k, threshold=threshold,
+                           mode="or", cfg=cfg, where=where,
+                           order_by=order_by, offset=offset)
+
+    def search_prefix(self, prefix: str, k=None, threshold=None,
+                      cfg: EngineConfig = DEFAULT_CONFIG,
+                      max_expansions: "int | None" = None,
+                      where=None, order_by=None, offset: int = 0):
+        """Prefix top-k (see ``engine.search_prefix``) — expansion
+        against the global terms table, scoring via the exact
+        scatter-gather path."""
+        return self._search_expanded("prefix", prefix, k, threshold, cfg,
+                                     max_expansions, where, order_by, offset)
+
+    def search_fuzzy(self, term: str, k=None, threshold=None,
+                     cfg: EngineConfig = DEFAULT_CONFIG,
+                     max_expansions: "int | None" = None,
+                     where=None, order_by=None, offset: int = 0):
+        """Levenshtein-≤1 fuzzy top-k (see ``engine.search_fuzzy``)."""
+        return self._search_expanded("fuzzy", term, k, threshold, cfg,
+                                     max_expansions, where, order_by, offset)
+
+    def search_wildcard(self, pattern: str, k=None, threshold=None,
+                        cfg: EngineConfig = DEFAULT_CONFIG,
+                        max_expansions: "int | None" = None,
+                        where=None, order_by=None, offset: int = 0):
+        """Glob wildcard top-k (see ``engine.search_wildcard``)."""
+        return self._search_expanded("wildcard", pattern, k, threshold, cfg,
+                                     max_expansions, where, order_by, offset)
+
+    def search_regex(self, pattern: str, k=None, threshold=None,
+                     cfg: EngineConfig = DEFAULT_CONFIG,
+                     max_expansions: "int | None" = None,
+                     where=None, order_by=None, offset: int = 0):
+        """Anchored-regex top-k (see ``engine.search_regex``)."""
+        return self._search_expanded("regex", pattern, k, threshold, cfg,
+                                     max_expansions, where, order_by, offset)
+
+    def search_phrase_prefix(self, phrase: str, k=None, threshold=None,
+                             cfg: EngineConfig = DEFAULT_CONFIG,
+                             offset: int = 0, slop: int = 0,
+                             max_expansions: "int | None" = None):
+        """Search-as-you-type (see ``engine.search_phrase_prefix``):
+        the last token is completed against the GLOBAL terms table
+        (every shard sees the same completion set), each completion is
+        one phrase query, merged under per-doc max score with one
+        global top-k cut.  Exact: a doc outside every completion's
+        top-(k+offset) is dominated by ≥k+offset docs globally
+        (per-completion cut lines), ties resolved identically by the
+        shared (score desc, doc_id asc) rule."""
+        from refimage_ray.functions.text import tokenize
+        from refimage_ray.query.engine import _check_offset
+        from refimage_ray.query.scorer import topk_select
+
+        k = cfg.default_k if k is None else k
+        threshold = cfg.default_threshold if threshold is None else threshold
+        _check_offset(offset)
+        vocab = self._vocab()
+        toks = tokenize(phrase, vocab._token_pattern, vocab._term_filter)
+        if not toks:
+            return []
+        head, last = toks[:-1], toks[-1]
+        cap = cfg.max_expansions if max_expansions is None else max_expansions
+        expansions = vocab.expand("prefix", last, cap)
+        if not expansions:
+            return []
+        best: dict[int, float] = {}
+        for e in expansions:
+            for d, s in self.search_phrase(
+                " ".join([*head, e]), k=k + offset, threshold=threshold,
+                cfg=cfg, slop=slop,
+            ):
+                if d not in best or s > best[d]:
+                    best[d] = s
+        if not best:
+            return []
+        ids = np.fromiter(best.keys(), np.int64, len(best))
+        sc = np.fromiter(best.values(), np.float64, len(best))
+        out_ids, out_sc = topk_select(ids, sc, k + offset, threshold)
+        return list(zip(out_ids.tolist(), out_sc.tolist()))[offset:]
 
     def search_rescore(
         self,
@@ -1371,9 +1093,14 @@ class DistributedDocPartSearcher:
         cfg: EngineConfig = DEFAULT_CONFIG,
         mode: str = "or",
     ) -> list[tuple[int, float]]:
-        """Two-phase rescore over the actor transport — same shape as
-        :meth:`DocPartSearcher.search_rescore`: exact global window
-        from the scatter, per-actor proximity gaps combined by min."""
+        """Two-phase rescore (see ``engine.search_rescore`` for the
+        semantics): the exact GLOBAL BM25 top-``window`` comes from
+        the scatter search; the positional proximity pass then runs
+        per shard over that window's docs (each doc's positions live
+        wholly in its one shard, so the per-shard gap vectors combine
+        by elementwise min into exactly the term layout's gaps — same
+        prox, same combined scores).  Needs ``store_positions`` — this
+        layout keeps no text store to fall back to."""
         from refimage_ray.functions.text import tokenize
         from refimage_ray.query.engine import _rescore_combine, query_terms
 
@@ -1394,288 +1121,75 @@ class DistributedDocPartSearcher:
             g = np.full(len(cand_s), np.inf)
             if len(terms) < 2:
                 return g
-            for ga in ray.get([a.min_pair_gaps.remote(terms, cand_s)
-                               for a in self.actors]):
-                g = np.minimum(g, ga)
+            for part in self._scatter("min_pair_gaps", terms, cand_s):
+                g = np.minimum(g, part)
             return g
 
         return _rescore_combine(base, gaps_of, k, query_weight,
                                 rescore_weight)
 
-    def search_grouped(
-        self,
-        query: str,
-        by: str,
-        k_per_group: int = 3,
-        mode: str = "or",
-        where=None,
-        groups: "list[str] | None" = None,
-    ) -> list[tuple[str, int, float]]:
-        """Scatter-gather grouped top-k (see ``DocPartSearcher``) —
-        per-actor partial grouped tops, exact driver merge."""
-        parts = ray.get([
-            a.search_grouped.remote(query, by, k_per_group, mode, where,
-                                    groups)
-            for a in self.actors
-        ])
-        return _merge_grouped(parts, k_per_group)
 
-    def search_phrase(
-        self,
-        phrase: str,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        offset: int = 0,
-        slop: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Scatter-gather phrase / proximity top-k (see
-        :meth:`DocPartSearcher.search_phrase`; requires
-        ``store_positions=True`` at build)."""
-        if not self.manifest["config"].get("store_positions"):
-            raise ValueError(
-                "phrase search on a doc-partitioned artifact requires "
-                "build_doc_partitioned with cfg.store_positions=True "
-                "(doc shards store no text to verify against)"
-            )
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        kk = k + offset
-        parts = ray.get([
-            a.search_phrase.remote(phrase, kk, threshold, slop)
-            for a in self.actors
-        ])
-        return self._merge(parts, kk, threshold)[offset:]
+class DocPartSearcher(_DocPartCoordinator):
+    """In-process scatter-gather over the doc-partitioned artifact:
+    every shard's postings load once into one resident
+    :class:`_ShardGroup` (each view reuses the engine's scoring path
+    via ``_SearcherBase`` with GLOBAL df/N/avgdl), and every operator
+    is a direct call on it.  ``.shards`` are the shard views.
 
-    def search_near(
-        self,
-        query: str,
-        window: int,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
-        offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Scatter-gather unordered-proximity top-k (see
-        :meth:`DocPartSearcher.search_near`; requires
-        ``store_positions=True`` at build)."""
-        if not self.manifest["config"].get("store_positions"):
-            raise ValueError(
-                "near search on a doc-partitioned artifact requires "
-                "build_doc_partitioned with cfg.store_positions=True "
-                "(doc shards store no text to verify against)"
-            )
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        kk = k + offset
-        parts = ray.get([
-            a.search_near.remote(query, window, kk, threshold)
-            for a in self.actors
-        ])
-        return self._merge(parts, kk, threshold)[offset:]
+    A sibling of :class:`DistributedDocPartSearcher`, not its parent:
+    ``isinstance(s, DocPartSearcher)`` means "in-process, NRT-capable"
+    (serve's ``POST /docs`` relies on it)."""
 
-    def count(
-        self,
-        query: str,
-        mode: str = "or",
-        where=None,
-        min_match: "int | None" = None,
-    ) -> int:
-        """Scatter-gather hit count — exact by disjoint-shard
-        additivity."""
-        return sum(ray.get([
-            a.count.remote(query, mode, where, min_match)
-            for a in self.actors
-        ]))
+    def __init__(self, index_dir: str) -> None:
+        files = self._open(index_dir)
+        self._global_df = _load_global_df(index_dir)
+        self._group = _ShardGroup(index_dir, files, self.manifest,
+                                  self._global_df)
+        self.shards = self._group.views
 
-    def facets(
-        self,
-        query: str,
-        by: "list[str] | None" = None,
-        mode: str = "or",
-        where=None,
-        histograms: "dict[str, float] | None" = None,
-        top: int | None = None,
-        sums: "dict[str, str] | None" = None,
-        date_histograms: "dict[str, str] | None" = None,
-        percentiles=None,
-        percentile_gather_cap: int = 1_000_000,
-    ) -> dict:
-        """Scatter-gather facets: each actor returns partial counts
-        from its shard-local doc values; the driver merge is exact by
-        additivity over disjoint doc subsets (``top`` after merge)."""
-        from refimage_ray.index.docvalues import merge_facet_results
 
-        parts = ray.get([
-            a.facets.remote(query, by, mode, where, histograms, sums,
-                            date_histograms)
-            for a in self.actors
-        ])
-        pct = None
-        if percentiles:
-            from refimage_ray.index.docvalues import select_percentiles
+@functools.cache
+def _shard_actor_class():
+    import ray
 
-            try:
-                gathered = ray.get([
-                    a.match_values.remote(query, sorted(percentiles), mode,
-                                          where, percentile_gather_cap)
-                    for a in self.actors
-                ])
-                pct = {
-                    c: select_percentiles(
-                        np.concatenate([g[c] for g in gathered])
-                        if gathered else np.zeros(0),
-                        qs,
-                    )
-                    for c, qs in percentiles.items()
-                }
-            except ray.exceptions.RayTaskError as e:
-                if not _is_gather_cap_error(e):
-                    raise
-                pct = _selection_percentiles(
-                    lambda m, *a: ray.get([
-                        getattr(act, m).remote(*a) for act in self.actors
-                    ]),
-                    percentiles, query, mode, where,
-                )
-        out = merge_facet_results(parts, top=top)
-        if pct is not None:
-            out["percentiles"] = pct
-        for c in by or []:
-            out["facets"].setdefault(c, [])
-        for c in histograms or {}:
-            out["histograms"].setdefault(c, [])
-        if date_histograms:
-            out.setdefault("date_histograms", {})
-            for c in date_histograms:
-                out["date_histograms"].setdefault(c, [])
-        if sums:
-            out.setdefault("sums", {})
-            for c in sums:
-                out["sums"].setdefault(c, [])
-        return out
+    # idempotent restart (immutable artifact, tiny ctor args) — same
+    # policy as DistributedSearcher: a dead actor reloads its shards
+    # and the in-flight RPC is retried transparently
+    return ray.remote(_ShardGroup).options(max_restarts=2,
+                                           max_task_retries=-1)
 
-    @staticmethod
-    def _merge(
-        parts: list[list[tuple[int, float]]], k: int, threshold: float
-    ) -> list[tuple[int, float]]:
-        from refimage_ray.query.scorer import topk_select
 
-        ids_parts, score_parts = [], []
-        for hits in parts:
-            if hits:
-                ids_parts.append(np.array([d for d, _ in hits], np.int64))
-                score_parts.append(np.array([s for _, s in hits], np.float64))
-        if not ids_parts:
-            return []
-        ids, scores = topk_select(
-            np.concatenate(ids_parts), np.concatenate(score_parts), k, threshold
-        )
-        return list(zip(ids.tolist(), scores.tolist()))
+class DistributedDocPartSearcher(_DocPartCoordinator):
+    """Scatter-gather over :class:`_ShardGroup` actors — identical
+    results to :class:`DocPartSearcher` (same per-shard scoring, same
+    merges), but shard evaluation fans out across the cluster.  Use
+    for serving when one process can't hold every shard's postings."""
 
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
-        """(term, df) pairs from the global terms table (the engine
-        ABC's vocabulary-browse contract — serve /terms)."""
-        return self._ensure_expander().pairs(kind, arg)[1]
+    def __init__(self, index_dir: str, num_actors: int = 4) -> None:
+        files = self._open(index_dir)
+        num_actors = max(1, min(num_actors, len(files) or 1))
+        assign: list[list[str]] = [[] for _ in range(num_actors)]
+        for i, f in enumerate(files):
+            assign[i % num_actors].append(f)
+        cls = _shard_actor_class()
+        self.actors = [
+            cls.remote(index_dir, fnames, self.manifest)
+            for fnames in assign if fnames
+        ]
 
-    def composite(
-        self,
-        query: str,
-        by: "list[str]",
-        size: int = 10,
-        after: "tuple | None" = None,
-        mode: str = "or",
-        where=None,
-    ) -> dict:
-        """EXACT composite paging, scatter-gather: each actor returns
-        its FULL bucket list past the cursor (additive partials — see
-        ``DocPartSearcher.composite`` for why no per-shard size bound
-        is the whole point); the driver merges, sorts keys ascending
-        and cuts the page."""
-        if size <= 0:
-            raise ValueError(f"size must be > 0, got {size}")
-        parts = ray.get([
-            a.composite_all.remote(query, by, mode, where, after)
-            for a in self.actors
-        ])
-        merged: "dict[tuple, int]" = {}
-        for part in parts:
-            _accumulate_composite(merged, part)
-        return _composite_page(merged, size)
+    def _scatter(self, method: str, *args) -> list:
+        """One partial per actor, fanned out and gathered with one
+        ``ray.get``."""
+        import ray
 
-    def _ensure_expander(self) -> "_GlobalVocabExpander":
-        if self._expander is None:
-            # global terms table loaded on first expansion query only —
-            # plain scatter-gather serving never pays for it
-            self._expander = _GlobalVocabExpander(
-                _load_global_df(self.index_dir), self._token_pattern,
-                self.manifest["config"].get("term_filter", "none"),
-            )
-        return self._expander
+        return ray.get([getattr(a, method).remote(*args)
+                        for a in self.actors])
 
-    def suggest(self, term: str, max_suggestions: int = 5) -> list[dict]:
-        """Did-you-mean over the global terms table."""
-        return self._ensure_expander().suggest(term, max_suggestions)
-
-    def _search_expanded(
-        self, kind: str, arg: str, k, threshold, cfg: EngineConfig,
-        max_expansions: "int | None", where=None, order_by=None,
-        offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        self._ensure_expander()
-        cap = cfg.max_expansions if max_expansions is None else max_expansions
-        terms = self._expander.expand(kind, arg, cap)
-        if not terms:
-            return []
-        return self.search(" ".join(terms), k=k, threshold=threshold,
-                           mode="or", cfg=cfg, where=where,
-                           order_by=order_by, offset=offset)
-
-    def search_prefix(self, prefix: str, k=None, threshold=None,
-                      cfg: EngineConfig = DEFAULT_CONFIG,
-                      max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Prefix top-k (driver-side expansion against the global terms
-        table, then the ordinary scatter-gather)."""
-        return self._search_expanded("prefix", prefix, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_phrase_prefix(self, phrase: str, k=None, threshold=None,
-                             cfg: EngineConfig = DEFAULT_CONFIG,
-                             offset: int = 0, slop: int = 0,
-                             max_expansions: "int | None" = None):
-        """Search-as-you-type (driver-side completion against the
-        global terms table, one scatter-gather phrase query per
-        completion, per-doc max-merge — see
-        :meth:`DocPartSearcher.search_phrase_prefix`)."""
-        return _phrase_prefix_composed(
-            self, self._ensure_expander(), phrase, k, threshold, cfg,
-            offset, slop, max_expansions,
-        )
-
-    def search_fuzzy(self, term: str, k=None, threshold=None,
-                     cfg: EngineConfig = DEFAULT_CONFIG,
-                     max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Levenshtein-≤1 fuzzy top-k (driver-side expansion)."""
-        return self._search_expanded("fuzzy", term, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_wildcard(self, pattern: str, k=None, threshold=None,
-                        cfg: EngineConfig = DEFAULT_CONFIG,
-                        max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Glob wildcard top-k (driver-side expansion)."""
-        return self._search_expanded("wildcard", pattern, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
-
-    def search_regex(self, pattern: str, k=None, threshold=None,
-                     cfg: EngineConfig = DEFAULT_CONFIG,
-                     max_expansions: "int | None" = None,
-                      where=None, order_by=None, offset: int = 0):
-        """Anchored-regex top-k (driver-side expansion)."""
-        return self._search_expanded("regex", pattern, k, threshold, cfg,
-                                     max_expansions, where, order_by, offset)
+    def wait_ready(self) -> None:
+        """Block until every doc-shard actor has loaded its postings
+        (actor construction is async; see
+        ``DistributedSearcher.wait_ready``)."""
+        self._views("count", "")
 
     def search_many(
         self,
@@ -1692,15 +1206,22 @@ class DistributedDocPartSearcher:
         query batch back-to-back — the serving-THROUGHPUT path (each
         result list is identical to ``search`` of the same query).  The
         driver does only the tiny per-query top-k merge."""
+        import ray
+
+        from refimage_ray.query.engine import _check_offset
+
         k = cfg.default_k if k is None else k
         threshold = cfg.default_threshold if threshold is None else threshold
+        _check_offset(offset)
         kk = k + offset
         futures = [
-            [a.search.remote(q, kk, threshold, mode, where)
+            [a.each.remote("search", (q, kk, threshold),
+                           {"mode": mode, "where": where})
              for a in self.actors]
             for q in queries
         ]
         return [
-            self._merge(ray.get(row), kk, threshold)[offset:]
+            _merge_topk([p for g in ray.get(row) for p in g], kk,
+                        threshold)[offset:]
             for row in futures
         ]

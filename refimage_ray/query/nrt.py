@@ -37,6 +37,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from refimage_ray.index.docpart import (
+    DocPartSearcher,
+    _doc_shard_of,
+    _DocPartCoordinator,
+    _ShardGroup,
+)
 from refimage_ray.index.manifest import load_manifest
 from refimage_ray.index.reader import TermPostings
 from refimage_ray.query.engine import LocalSearcher, _SearcherBase
@@ -561,7 +567,7 @@ class _DeltaShardWrap(_SearcherBase):
         return out
 
 
-class DocPartDeltaSearcher:
+class DocPartDeltaSearcher(_DocPartCoordinator):
     """NRT over the DOC-PARTITIONED layout (the serving-default
     scatter): buffered (doc_id, text) rows route to their hash shard,
     each shard evaluates base∪buffer under the MERGED global stats,
@@ -574,8 +580,6 @@ class DocPartDeltaSearcher:
     docpart incremental-add lifecycle."""
 
     def __init__(self, index_dir: str, base=None) -> None:
-        from refimage_ray.index.docpart import DocPartSearcher
-
         self.base = base if base is not None else DocPartSearcher(index_dir)
         if self.base.index_dir != index_dir:
             raise ValueError("base searcher was loaded from a different dir")
@@ -609,6 +613,7 @@ class DocPartDeltaSearcher:
             _DeltaShardWrap(self, v, g)
             for v, g in zip(self.base.shards, self._shard_gkeys)
         ]
+        self._group = _ShardGroup.of(self.shards)
         self._refresh_stats()
 
     def _refresh_stats(self) -> None:
@@ -656,8 +661,6 @@ class DocPartDeltaSearcher:
         return n
 
     def _shards_of(self, ids: np.ndarray) -> np.ndarray:
-        from refimage_ray.index.docpart import _doc_shard_of
-
         gk = _doc_shard_of(ids, self._num_doc_shards)
         missing = set(np.unique(gk).tolist()) - set(self._shard_gkeys)
         if missing:
@@ -695,44 +698,22 @@ class DocPartDeltaSearcher:
             sh._cache.clear()
         return out_dir
 
-    # --- scatter surface (same merge discipline as DocPartSearcher) ---
+    # --- scatter surface: the docpart coordinator over the wraps ---
 
     def search(self, query, k=None, threshold=None, mode="or",
                cfg=None, where=None, offset: int = 0,
                min_match=None, after=None, boost=None, order_by=None):
         from refimage_ray.config import DEFAULT_CONFIG
-        from refimage_ray.query.scorer import topk_select
 
-        cfg = DEFAULT_CONFIG if cfg is None else cfg
         if order_by is not None:
             raise ValueError(
                 "order_by needs doc values over the buffered docs; "
                 "flush() first"
             )
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        kk = k + offset
-        ids_parts, score_parts = [], []
-        for sh in self.shards:
-            hits = sh.search(query, k=kk, threshold=threshold, mode=mode,
-                             cfg=cfg, where=where, min_match=min_match,
-                             after=after, boost=boost)
-            if hits:
-                ids_parts.append(np.array([d for d, _ in hits], np.int64))
-                score_parts.append(
-                    np.array([s for _, s in hits], np.float64))
-        if not ids_parts:
-            return []
-        ids, scores = topk_select(
-            np.concatenate(ids_parts), np.concatenate(score_parts),
-            kk, threshold,
-        )
-        return list(zip(ids.tolist(), scores.tolist()))[offset:]
-
-    def count(self, query, mode="or", where=None, min_match=None) -> int:
-        return sum(
-            sh.count(query, mode=mode, where=where, min_match=min_match)
-            for sh in self.shards
+        return super().search(
+            query, k, threshold, mode,
+            DEFAULT_CONFIG if cfg is None else cfg, where, offset,
+            min_match, after, boost,
         )
 
     def _needs_flush(self, what: str):

@@ -1012,12 +1012,12 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                         if isinstance(srch, LocalSearcher):
                             fresh = DeltaSearcher(index_dir, base=srch)
                         else:
-                            # imported here: docpart imports Ray, which a
-                            # term-partitioned server never needs
                             from refimage_ray.index.docpart import (
                                 DocPartSearcher,
                             )
 
+                            # a distributed searcher is a sibling class,
+                            # never a DocPartSearcher
                             if not isinstance(srch, DocPartSearcher):
                                 return self._json(
                                     {"error": "NRT add needs an in-process "

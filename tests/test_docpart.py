@@ -13,6 +13,7 @@ from refimage_ray.index.docpart import (
     _doc_shard_of,
     build_doc_partitioned,
 )
+from refimage_ray.query.boost import DecaySpec
 from refimage_ray.query.engine import LocalSearcher
 from tests.conftest import FIXTURE_QUERIES
 
@@ -480,3 +481,175 @@ def test_distributed_docpart_composite_matches_local(both_indexes):
                            after=p_local["after_key"]) == \
             b.composite("the data", by=["lang"], size=2,
                         after=p_local["after_key"])
+
+
+def test_negative_offset_raises_on_every_docpart_path(both_indexes):
+    """offset < 0 is a ValueError on every doc-partitioned path, as on
+    the term layout: in process, distributed, docpart NRT and serve's
+    /search (422)."""
+    import json
+    import threading
+    import urllib.error
+    import urllib.request
+
+    from refimage_ray.index.docpart import DistributedDocPartSearcher
+    from refimage_ray.query.nrt import DocPartDeltaSearcher
+    from refimage_ray.serve import make_server
+
+    term_dir, doc_dir, _ = both_indexes
+    with pytest.raises(ValueError, match="offset"):
+        LocalSearcher(term_dir).search("the data join", k=10, offset=-3)
+    local = DocPartSearcher(doc_dir)
+    dist = DistributedDocPartSearcher(doc_dir, num_actors=2)
+    dist.wait_ready()
+    delta = DocPartDeltaSearcher(doc_dir)
+    delta.add(pa.table({"doc_id": pa.array([10**9], pa.int64()),
+                        "text": ["the data join"]}))
+    for s in (local, dist, delta):
+        with pytest.raises(ValueError, match="offset must be a non-negative"):
+            s.search("the data join", k=10, offset=-3)
+    with pytest.raises(ValueError, match="offset"):
+        dist.search_many(["the data join"], k=10, offset=-3)
+    for s in (local, dist):
+        with pytest.raises(ValueError, match="offset"):
+            s.search_prefix("dat", k=5, offset=-1)
+        with pytest.raises(ValueError, match="offset"):
+            s.search("the data", k=5, order_by=("lang", "asc"), offset=-1)
+
+    srv = make_server(doc_dir, port=0)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        url = (f"http://127.0.0.1:{srv.server_address[1]}"
+               "/search?q=the+data+join&k=10&offset=-3")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(url, timeout=30)
+        assert err.value.code == 422
+        assert "offset" in json.loads(err.value.read())["error"]
+    finally:
+        srv.shutdown()
+
+
+def test_distributed_docpart_grouped_threshold(both_indexes):
+    """search_grouped(threshold=...) on the distributed searcher
+    equals the in-process and term-layout answers, with a threshold
+    that removes some hits."""
+    from refimage_ray.index.docpart import DistributedDocPartSearcher
+
+    term_dir, doc_dir, _ = both_indexes
+    a = LocalSearcher(term_dir)
+    b = DocPartSearcher(doc_dir)
+    d = DistributedDocPartSearcher(doc_dir, num_actors=2)
+    d.wait_ready()
+    q = "the data join"
+    full = a.search_grouped(q, by="lang", k_per_group=20)
+    th = float(np.median([s for _, _, s in full]))
+    want = a.search_grouped(q, by="lang", k_per_group=20, threshold=th)
+    assert 0 < len(want) < len(full)
+    assert b.search_grouped(q, by="lang", k_per_group=20,
+                            threshold=th) == want
+    assert d.search_grouped(q, by="lang", k_per_group=20,
+                            threshold=th) == want
+
+
+@pytest.fixture(scope="module")
+def positional_values_dir(ray_session, tiny_docs, tmp_path_factory):
+    n = tiny_docs.num_rows
+    docs = tiny_docs.append_column(
+        "prio", pa.array([(i * 7) % 5 for i in range(n)], pa.int64())
+    )
+    d = str(tmp_path_factory.mktemp("docpart_parity") / "doc")
+    build_doc_partitioned(
+        rd.from_arrow(docs), d,
+        EngineConfig(num_shards=4, salt_buckets=2, store_positions=True),
+        num_doc_shards=4, value_columns=["lang", "prio"],
+    )
+    return d
+
+
+_PARITY_OPS = [
+    ("search", ("the data join",), {"k": 10}),
+    ("search", ("the data join",), {"k": 10, "mode": "and"}),
+    ("search", ("the data",), {"k": 1000, "threshold": 0.04}),
+    ("search", ("the data",), {"k": 5, "offset": 5}),
+    ("search", ("the data",), {"k": 10, "where": [("lang", "=", "en")]}),
+    ("search", ("table scan merge sort fast",), {"k": 10, "min_match": 2}),
+    ("search", ("the data",), {"k": 5, "after": (7, 0.041)}),
+    ("search", ("the data",), {"k": 10, "order_by": ("prio", "desc")}),
+    ("search", ("the data",),
+     {"k": 5, "order_by": [("lang", "asc"), ("prio", "desc")], "offset": 2}),
+    ("search", ("the data",),
+     {"k": 10, "boost": DecaySpec("prio", 0.0, 4.0, 0.5, "exp")}),
+    ("search_phrase", ("data table",), {"k": 10}),
+    ("search_phrase", ("the data",), {"k": 5, "slop": 1, "offset": 2}),
+    ("search_near", ("data table",), {"window": 3, "k": 10}),
+    ("search_phrase_prefix", ("the da",), {"k": 10}),
+    ("search_rescore", ("data table",),
+     {"k": 10, "window": 25, "rescore_weight": 2.0}),
+    ("search_prefix", ("dat",), {"k": 10, "where": [("lang", "=", "en")]}),
+    ("search_fuzzy", ("dta",), {"k": 10}),
+    ("search_wildcard", ("d?t*",), {"k": 10, "order_by": ("prio", "asc")}),
+    ("search_regex", ("da.a",), {"k": 10, "offset": 1}),
+    ("suggest", ("dat",), {}),
+    ("_expand_pairs", ("prefix", "da"), {}),
+    ("search_grouped", ("the data",), {"by": "lang", "k_per_group": 2}),
+    ("search_grouped", ("the data",),
+     {"by": "lang", "k_per_group": 3, "groups": ["en", "fr"]}),
+    ("count", ("the data join",), {"mode": "and"}),
+    ("count", ("table scan merge sort fast",), {"min_match": 3}),
+    ("composite", ("the data",), {"by": ["lang"], "size": 2}),
+    ("composite", ("the data",), {"by": ["lang"], "size": 2,
+                                  "after": ("de",)}),
+    ("facets", ("the data",),
+     {"by": ["lang"], "histograms": {"prio": 2.0},
+      "sums": {"lang": "prio"}, "top": 3}),
+    ("facets", ("the data",), {"percentiles": {"prio": [0.5, 0.9]}}),
+    # a gather cap below the match size forces the bisection fallback
+    ("facets", ("the data",), {"percentiles": {"prio": [0.25, 0.5]},
+                               "percentile_gather_cap": 3}),
+]
+
+
+def test_distributed_docpart_parity_every_operator(positional_values_dir):
+    """Every public docpart operator answers identically over the actor
+    transport and in process (same per-shard partials, same merge)."""
+    from refimage_ray.index.docpart import DistributedDocPartSearcher
+
+    local = DocPartSearcher(positional_values_dir)
+    dist = DistributedDocPartSearcher(positional_values_dir, num_actors=2)
+    dist.wait_ready()
+    for name, args, kw in _PARITY_OPS:
+        want = getattr(local, name)(*args, **kw)
+        assert want, (name, args, kw)  # every case exercises a merge
+        assert getattr(dist, name)(*args, **kw) == want, (name, args, kw)
+
+
+def test_serve_nrt_add_refuses_distributed_docpart(both_indexes):
+    """POST /docs against a distributed docpart deployment stays 409:
+    the NRT guard is `isinstance(s, DocPartSearcher)`, and the
+    distributed searcher is a sibling class, not a subclass."""
+    import json
+    import threading
+    import urllib.error
+    import urllib.request
+
+    from refimage_ray.index.docpart import DistributedDocPartSearcher
+    from refimage_ray.serve import make_server
+
+    _, doc_dir, _ = both_indexes
+    dist = DistributedDocPartSearcher(doc_dir, num_actors=2)
+    dist.wait_ready()
+    assert not isinstance(dist, DocPartSearcher)
+    srv = make_server(doc_dir, port=0, searcher=dist)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{srv.server_address[1]}/docs",
+            data=json.dumps({"docs": [{"doc_id": 10**9,
+                                       "text": "fresh data"}]}).encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 409
+        assert "in-process" in json.loads(err.value.read())["error"]
+    finally:
+        srv.shutdown()

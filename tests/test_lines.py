@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ray.data as rd
 
@@ -181,6 +183,33 @@ def test_sorted_pair_membership_hi_collisions():
     member, idx = sorted_pair_membership(ehi, elo, hi, lo, return_index=True)
     assert member.tolist() == [True, False, True, True, False, False]
     assert idx[member].tolist() == [1, 2, 3]
+
+
+# hi drawn from a few values (long multi-row runs, the (doc_id, segment)
+# probe shape) including ones above 2^63, so uint64 order matters
+_U64 = st.sampled_from([0, 1, 7, 2**63 - 1, 2**63, 2**64 - 1])
+_LO = st.integers(0, 2**64 - 1) | st.integers(0, 5)
+
+
+@given(
+    keys=st.lists(st.tuples(_U64, _LO), max_size=40),
+    probes=st.lists(st.tuples(_U64, _LO), max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_sorted_pair_membership_matches_set_reference(keys, probes):
+    """Mask and index agree with a set-of-tuples reference: a member's
+    index points at the first row holding its (hi, lo) pair."""
+    ehi = np.array([h for h, _ in keys], dtype=np.uint64)
+    elo = np.array([lo for _, lo in keys], dtype=np.uint64)
+    o = np.lexsort((elo, ehi))
+    ehi, elo = ehi[o], elo[o]
+    hi = np.array([h for h, _ in probes], dtype=np.uint64)
+    lo = np.array([lo for _, lo in probes], dtype=np.uint64)
+    member, idx = sorted_pair_membership(ehi, elo, hi, lo, return_index=True)
+    rows = list(zip(ehi.tolist(), elo.tolist()))
+    ref = set(rows)
+    assert member.tolist() == [p in ref for p in probes]
+    assert idx[member].tolist() == [rows.index(p) for p in probes if p in ref]
 
 
 def test_min_count_three(ray_session):
