@@ -136,8 +136,10 @@ def _score_disjunctive_dense(
 import threading as _threading
 
 # Process-wide free-list of all-zero buffers (NOT thread-local: the
-# HTTP shim's ThreadingHTTPServer spawns a thread per connection, so a
-# per-thread pool would re-pay the O(universe) zeros on every request).
+# HTTP shim's request workers are reused but unbounded in number — a
+# burst starts new ones and the extras exit — so a per-thread pool
+# would re-pay the O(universe) zeros on each new worker and pin one
+# buffer per idle worker).
 # acquire pops a fitting buffer or allocates; release returns it with
 # the all-zero contract restored by the caller.  Bounded so a burst of
 # concurrent queries can't pin unbounded memory.
@@ -609,6 +611,7 @@ class _SearcherBase:
     ) -> list[tuple[int, float]]:
         from refimage_ray.query.expand import cap_expansion, normalize_probe
 
+        _check_offset(offset)
         k = cfg.default_k if k is None else k
         threshold = cfg.default_threshold if threshold is None else threshold
         probe = normalize_probe(kind, arg, self._tokenize)
@@ -617,8 +620,6 @@ class _SearcherBase:
         if not terms:
             return []
         term_map = self._term_map(terms)
-        if offset:
-            _check_offset(offset)
         return self._finish_search(
             term_map, terms, k + offset, threshold, "or", prune, scorer,
             dense, where, order_by,
@@ -902,6 +903,7 @@ class _SearcherBase:
         """
         if slop < 0:
             raise ValueError(f"slop must be >= 0, got {slop}")
+        _check_offset(offset)
         k = cfg.default_k if k is None else k
         threshold = cfg.default_threshold if threshold is None else threshold
         phrase_tokens = self._tokenize(phrase)
@@ -930,8 +932,6 @@ class _SearcherBase:
                 if _contains_phrase(self._tokenize(txt), phrase_tokens, slop)
             }
             keep = np.array([d in ok_ids for d in cand.tolist()], dtype=bool)
-        if offset:
-            _check_offset(offset)
         ids, sc = topk_select(cand[keep], scores[keep], k + offset, threshold)
         return list(zip(ids.tolist(), sc.tolist()))[offset:]
 
@@ -960,6 +960,7 @@ class _SearcherBase:
         merge under max-score before a single global top-k cut."""
         from refimage_ray.query.expand import cap_expansion
 
+        _check_offset(offset)
         k = cfg.default_k if k is None else k
         threshold = cfg.default_threshold if threshold is None else threshold
         toks = self._tokenize(phrase)
@@ -970,8 +971,6 @@ class _SearcherBase:
         expansions = cap_expansion(self._expand_pairs("prefix", last), cap)
         if not expansions:
             return []
-        if offset:
-            _check_offset(offset)
         # resolve ALL postings once (one scatter round on distributed
         # searchers) instead of a full search_phrase per completion —
         # this is the per-keystroke hot path
@@ -1057,6 +1056,7 @@ class _SearcherBase:
             # from raising OverflowError past 2^63
             raise ValueError(
                 f"window must be <= {2**31 - 1}, got {window}")
+        _check_offset(offset)
         k = cfg.default_k if k is None else k
         threshold = cfg.default_threshold if threshold is None else threshold
         terms = query_terms(self._tokenize(query))
@@ -1083,8 +1083,6 @@ class _SearcherBase:
                 if _contains_near(self._tokenize(txt), terms, window)
             }
             keep = np.array([d in ok_ids for d in cand.tolist()], dtype=bool)
-        if offset:
-            _check_offset(offset)
         ids, sc = topk_select(cand[keep], scores[keep], k + offset, threshold)
         return list(zip(ids.tolist(), sc.tolist()))[offset:]
 
@@ -1937,8 +1935,8 @@ class DistributedSearcher(_SearcherBase):
         self._cache: "OrderedDict[str, TermPostings | None]" = OrderedDict()
         self._cache_bytes = 0
         self._cache_cap = int(cache_bytes)
-        # serve.py shares one searcher across ThreadingHTTPServer
-        # request threads; the LRU's move_to_end / insert / evict
+        # serve.py shares one searcher across its request worker
+        # threads; the LRU's move_to_end / insert / evict
         # sequences are not atomic under the GIL
         self._cache_lock = _threading.Lock()
         self.cache_hits = 0

@@ -67,8 +67,8 @@ class _LRUTermMemo:
     result if an add landed in between — otherwise weights computed
     under the old N/avgdl would be pinned until the next add.
 
-    THREAD-SAFE: searchers holding this memo are shared across
-    ThreadingHTTPServer request threads, so the get's ``get +
+    THREAD-SAFE: searchers holding this memo are shared across the
+    HTTP shim's request worker threads, so the get's ``get +
     move_to_end`` pair (and setitem's ``popitem`` past the cap) must
     not interleave with a concurrent eviction or an add/flush
     ``clear()`` — unguarded, that interleaving raises ``KeyError`` and

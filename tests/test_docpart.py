@@ -529,6 +529,55 @@ def test_negative_offset_raises_on_every_docpart_path(both_indexes):
         srv.shutdown()
 
 
+def test_negative_offset_raises_whether_or_not_the_query_matches(both_indexes):
+    """phrase, near, phrase_prefix and the expansions refuse a negative
+    offset on entry, so a query that matches nothing raises like one
+    that matches (term layout, docpart shard views, serve's 422)."""
+    import json
+    import threading
+    import urllib.error
+    import urllib.request
+
+    from refimage_ray.serve import make_server
+
+    term_dir, doc_dir, _ = both_indexes
+    local = LocalSearcher(term_dir)
+    view = DocPartSearcher(doc_dir).shards[0]
+    calls = [
+        lambda s, q, off: s.search_phrase(q, k=5, offset=off),
+        lambda s, q, off: s.search_near(q, window=5, k=5, offset=off),
+        lambda s, q, off: s.search_phrase_prefix(q, k=5, offset=off),
+    ]
+    for call in calls:
+        assert call(local, "the data", 0)
+        assert call(local, "zzzqqq xxyyzz", 0) == []
+    for s in (local, view):
+        for call in calls:
+            for q in ("the data", "zzzqqq xxyyzz"):
+                with pytest.raises(ValueError, match="offset must be"):
+                    call(s, q, -2)
+        for probe in ("dat", "zzzqqq"):
+            with pytest.raises(ValueError, match="offset must be"):
+                s.search_prefix(probe, k=5, offset=-1)
+
+    srv = make_server(term_dir, port=0)
+    t = threading.Thread(target=srv.serve_forever, daemon=True)
+    t.start()
+    try:
+        base = f"http://127.0.0.1:{srv.server_address[1]}/search?k=5&offset=-2"
+        for q in ("the+data", "zzzqqq+xxyyzz"):
+            for mode in ("phrase", "near", "phrase_prefix"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(f"{base}&q={q}&mode={mode}",
+                                           timeout=30)
+                assert err.value.code == 422, (q, mode)
+                assert "offset" in json.loads(err.value.read())["error"]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        t.join(timeout=30)
+
+
 def test_distributed_docpart_grouped_threshold(both_indexes):
     """search_grouped(threshold=...) on the distributed searcher
     equals the in-process and term-layout answers, with a threshold

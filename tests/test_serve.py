@@ -935,8 +935,8 @@ def test_docs_listing_route(server):
 
 
 def test_post_docs_concurrent_first_add_loses_nothing(server):
-    """Race regression: N concurrent first POST /docs requests on the
-    ThreadingHTTPServer each used to construct a fresh delta searcher
+    """Race regression: N concurrent first POST /docs requests on
+    concurrent request workers each used to construct a fresh delta searcher
     from the same base — every add answered 200 but only the last
     swap survived, silently dropping the other requests' docs.  The
     construct+add+swap now serializes under add_lock, so every
@@ -1147,19 +1147,263 @@ assert "ray" not in sys.modules, sorted(m for m in sys.modules if m.startswith("
 """
 
 
-def test_term_partitioned_serving_never_imports_ray(built_index, tmp_path):
-    """A term-partitioned server loads, answers reads and takes an NRT
-    add without importing Ray (start-up pays for no unused framework)."""
+def _run_script(script: str, index_dir: str):
+    """Run ``script`` in a fresh interpreter with ``sys.argv[1] =
+    index_dir`` and the repository importable."""
     import os
     import subprocess
     import sys
 
-    d = str(tmp_path / "idx")
-    shutil.copytree(built_index[0], d)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [root, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
-    r = subprocess.run([sys.executable, "-c", _RAY_FREE_SERVE, d], env=env,
+    r = subprocess.run([sys.executable, "-c", script, index_dir], env=env,
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
+    return r
+
+
+def test_term_partitioned_serving_never_imports_ray(built_index, tmp_path):
+    """A term-partitioned server loads, answers reads and takes an NRT
+    add without importing Ray (start-up pays for no unused framework)."""
+    d = str(tmp_path / "idx")
+    shutil.copytree(built_index[0], d)
+    _run_script(_RAY_FREE_SERVE, d)
+
+
+# --- request workers: reuse, unbounded concurrency, teardown ---------
+
+
+class _StubSearcher:
+    """Just enough searcher for ``/health`` and ``/search``; ``search``
+    runs ``on_search(query)`` and returns no hits."""
+
+    n_docs = 0
+
+    def __init__(self, on_search=lambda q: None):
+        self.on_search = on_search
+
+    def search(self, query, **kwargs):
+        self.on_search(query)
+        return []
+
+
+def _start(srv):
+    t = threading.Thread(target=srv.serve_forever,
+                         kwargs={"poll_interval": 0.05}, daemon=True)
+    t.start()
+    return t, f"http://127.0.0.1:{srv.server_address[1]}"
+
+
+def _record_threads(srv) -> list:
+    """The thread of each ``do_GET`` (the object, since the OS reuses
+    the idents of ended threads), wrapped the way perfbench wraps it."""
+    seen = []
+    orig = srv.RequestHandlerClass.do_GET
+
+    def traced(self, _orig=orig):
+        seen.append(threading.current_thread())
+        return _orig(self)
+
+    srv.RequestHandlerClass.do_GET = traced
+    return seen
+
+
+def _stop(srv, t):
+    srv.shutdown()
+    srv.server_close()
+    t.join(timeout=30)
+    assert not t.is_alive()
+
+
+_SERIAL_REUSE = r"""
+import sys, threading, urllib.request
+from refimage_ray.serve import make_server
+
+srv = make_server(sys.argv[1], port=0)
+seen = []
+orig = srv.RequestHandlerClass.do_GET
+
+def traced(self, _orig=orig):
+    seen.append(threading.current_thread())
+    return _orig(self)
+
+srv.RequestHandlerClass.do_GET = traced
+t = threading.Thread(target=srv.serve_forever, daemon=True)
+t.start()
+url = f"http://127.0.0.1:{srv.server_address[1]}/search?q=spark+join&k=10"
+for _ in range(200):
+    with urllib.request.urlopen(url, timeout=30) as r:
+        assert r.status == 200 and r.read()
+srv.shutdown()
+srv.server_close()
+print(len(seen), len(set(seen)))
+"""
+
+
+def test_serial_requests_reuse_one_warm_worker(built_index):
+    """Serial traffic is served by the most recently idle worker: 200
+    requests on fresh connections see at most 2 handler threads (the
+    second only when a request is dispatched before the previous worker
+    is idle again).  Runs in a fresh interpreter, where no unrelated
+    threads (the test session's Ray runtime) compete for the interpreter
+    lock and hold a finishing worker back from going idle."""
+    out = _run_script(_SERIAL_REUSE, built_index[0]).stdout.split()
+    requests, threads = int(out[-2]), int(out[-1])
+    assert requests == 200
+    assert threads <= 2, threads
+
+
+def test_concurrent_requests_beyond_idle_cap_all_complete(tmp_path):
+    """Concurrency is unbounded: cap+4 requests that each wait for all
+    the others (a barrier inside the searcher) all answer, which a
+    fixed pool of cap workers would deadlock on.  Afterwards at most
+    cap workers stay idle; the rest exit."""
+    import time
+
+    from refimage_ray.serve import _IDLE_WORKERS, make_server
+
+    n = _IDLE_WORKERS + 4
+    barrier = threading.Barrier(n, timeout=60)
+    srv = make_server(str(tmp_path), port=0,
+                      searcher=_StubSearcher(lambda q: barrier.wait()))
+    seen = _record_threads(srv)
+    t, base = _start(srv)
+    codes = []
+    try:
+        clients = [threading.Thread(
+            target=lambda: codes.append(_get(base + "/search?q=x")[0]))
+            for _ in range(n)]
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join(timeout=90)
+        assert not any(c.is_alive() for c in clients)
+        assert codes == [200] * n
+        assert len(set(seen)) == n
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and sum(
+                th.is_alive() for th in set(seen)) > _IDLE_WORKERS:
+            time.sleep(0.01)
+        assert sum(th.is_alive() for th in set(seen)) <= _IDLE_WORKERS
+    finally:
+        _stop(srv, t)
+
+
+def test_handler_error_keeps_its_worker(tmp_path):
+    """A handler that raises something other than ValueError gets no
+    response (the stdlib ``handle_error`` path), but its worker
+    survives and serves the next request."""
+    import http.client
+    import time
+
+    from refimage_ray.serve import make_server
+
+    def boom(q):
+        if q == "boom":
+            raise RuntimeError("handler failure")
+
+    srv = make_server(str(tmp_path), port=0, searcher=_StubSearcher(boom))
+    srv.handle_error = lambda request, client_address: None  # quiet
+    seen = _record_threads(srv)
+    t, base = _start(srv)
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          srv.server_address[1], timeout=30)
+        conn.request("GET", "/search?q=boom")
+        with pytest.raises((http.client.HTTPException, ConnectionError)):
+            conn.getresponse()
+        conn.close()
+        failed = seen[0]
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and not any(
+                w is failed for _, w in srv._idle):
+            time.sleep(0.01)
+        assert _get(base + "/health") == (200, {"status": "ok",
+                                                "n_docs": 0})
+        assert seen == [failed, failed]
+    finally:
+        _stop(srv, t)
+
+
+def _workers(srv, seen) -> set:
+    """Every worker ``srv`` has started: each one that ran a ``do_GET``
+    (``seen``, from ``_record_threads``) and each one idle now."""
+    with srv._idle_lock:
+        return set(seen) | {w for _, w in srv._idle}
+
+
+def _wait_ended(threads) -> None:
+    import time
+
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline and any(
+            th.is_alive() for th in threads):
+        time.sleep(0.01)
+    assert not any(th.is_alive() for th in threads)
+
+
+def test_server_close_ends_every_worker(tmp_path):
+    """After ``shutdown()`` and ``server_close()`` every thread the
+    server started is gone: idle workers are ended, and busy ones exit
+    when their request is done."""
+    from refimage_ray.serve import make_server
+
+    entered, gate = threading.Semaphore(0), threading.Event()
+    srv = make_server(str(tmp_path), port=0, searcher=_StubSearcher(
+        lambda q: (entered.release(), gate.wait(30))))
+    seen = _record_threads(srv)
+    t, base = _start(srv)
+    clients = [threading.Thread(target=_get, args=(base + "/search?q=x",))
+               for _ in range(3)]
+    for c in clients:
+        c.start()
+    assert all(entered.acquire(timeout=30) for _ in clients)
+    for _ in range(5):
+        assert _get(base + "/health")[0] == 200
+    workers = _workers(srv, seen)
+    assert len(workers) >= 4  # three busy, at least one idle
+    _stop(srv, t)
+    gate.set()
+    for c in clients:
+        c.join(timeout=30)
+    assert not any(c.is_alive() for c in clients)
+    _wait_ended(workers)
+
+
+def test_shutdown_alone_releases_server_and_workers(tmp_path):
+    """``shutdown()`` without ``server_close()`` (as several callers
+    stop a server) ends every worker once ``serve_forever`` returns, so
+    no parked worker pins the server and its searcher."""
+    import gc
+    import weakref
+
+    from refimage_ray.serve import _IDLE_WORKERS, make_server
+
+    n = _IDLE_WORKERS + 2
+    barrier = threading.Barrier(n, timeout=60)
+    srv = make_server(str(tmp_path), port=0,
+                      searcher=_StubSearcher(lambda q: barrier.wait()))
+    seen = _record_threads(srv)
+    t, base = _start(srv)
+    clients = [threading.Thread(target=_get, args=(base + "/search?q=x",))
+               for _ in range(n)]
+    for c in clients:
+        c.start()
+    for c in clients:
+        c.join(timeout=90)
+    assert not any(c.is_alive() for c in clients)
+    for _ in range(5):
+        assert _get(base + "/health")[0] == 200
+    workers = _workers(srv, seen)
+    assert len(workers) == n
+    srv.shutdown()
+    t.join(timeout=30)
+    assert not t.is_alive()
+    _wait_ended(workers)
+    ref = weakref.ref(srv)
+    srv.socket.close()  # the socket only; the workers are already gone
+    del srv
+    gc.collect()
+    assert ref() is None
