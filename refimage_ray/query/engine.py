@@ -36,6 +36,7 @@ Scoring paths (all bit-identical; asserted three ways in tests):
 
 from __future__ import annotations
 
+import json as _json
 import os
 
 import numpy as np
@@ -2216,21 +2217,46 @@ def explain_score(
             "terms": rows}
 
 
+# what ``json.dumps`` writes for a str key or value (``ensure_ascii``)
+_json_str = _json.encoder.encode_basestring_ascii
+
+
+def meta_fragment(row: dict) -> str:
+    """The ``"k": "v", …`` inside of a hit's JSON object for one
+    metadata row: every field but ``doc_id`` as ``str(v)``, in column
+    order, escaped as ``json.dumps`` escapes.  A stored ``score`` field
+    comes first: it takes the hit score's place, as merging the row
+    over ``{"doc_id", "score"}`` would.  ``""`` when the row holds only
+    ``doc_id``."""
+    keys = [k for k in row if k != "doc_id"]
+    if "score" in row:
+        keys.remove("score")
+        keys.insert(0, "score")
+    return ", ".join([_json_str(k) + ": " + _json_str(str(row[k]))
+                      for k in keys])
+
+
 class ResidentDocs:
     """One immutable snapshot of a ``docs/`` store's non-text columns,
     sorted by ``doc_id`` (stable, so a doc_id stored twice keeps its
     file order).  ``sig`` is the :func:`_docs_signature` it was loaded
     under; ``sorts`` memoizes ``GET /docs`` listing orders per
-    ``(column, dir)`` — a pure function of the immutable table, so
-    concurrent fills are harmless."""
+    ``(column, dir)`` and ``frags`` maps a row position to its
+    :func:`meta_fragment`, rendered on the row's first hit, so it grows
+    with the rows hit, not the rows stored (≈420 B of RSS per row hit on
+    the benchmark artifact's docs schema, whose resident table takes
+    ≈120 B per row; ``scripts/join_cost.py`` measures it).  Both are pure
+    functions of the immutable table, so concurrent fills write equal
+    values and need no lock; they live and die with the entry."""
 
-    __slots__ = ("sig", "table", "ids", "sorts")
+    __slots__ = ("sig", "table", "ids", "sorts", "frags", "__weakref__")
 
     def __init__(self, sig: tuple, table):
         self.sig = sig
         self.table = table
         self.ids = table["doc_id"].to_numpy().astype(np.int64, copy=False)
         self.sorts: dict = {}
+        self.frags: dict = {}
 
     def rows_of(self, doc_ids) -> np.ndarray:
         """Row positions of every stored row whose doc_id is requested,
@@ -2241,6 +2267,24 @@ class ResidentDocs:
         n = np.searchsorted(self.ids, want, "right") - lo
         start = np.cumsum(n) - n
         return np.repeat(lo - start, n) + np.arange(int(n.sum()))
+
+    def fragments(self, doc_ids) -> dict:
+        """``doc_id → meta_fragment`` for the requested ids that are
+        stored (inner join); a doc_id stored twice renders its last row
+        in file order, the one a ``{doc_id: row}`` dict over
+        :meth:`rows_of` keeps.  Each row renders once per snapshot."""
+        if not len(self.ids):
+            return {}
+        want = np.asarray(doc_ids, dtype=np.int64)
+        pos = np.searchsorted(self.ids, want, "right") - 1
+        ok = self.ids[pos] == want  # pos -1 reads the largest id: no match
+        ids, rows = want[ok].tolist(), pos[ok].tolist()
+        frags = self.frags
+        todo = sorted({r for r in rows if r not in frags})
+        if todo:
+            for r, row in zip(todo, self.table.take(todo).to_pylist()):
+                frags[r] = meta_fragment(row)
+        return {d: frags[r] for d, r in zip(ids, rows)}
 
 
 _RESIDENT_LOCK = _threading.Lock()

@@ -6,12 +6,14 @@ is the Ray-Data pipelines behind it, so the shim is deliberately thin:
 a stdlib ``HTTPServer`` (no web framework dependency) whose
 handlers call exactly the library entry points a user would;
 :class:`WarmHTTPServer` serves each connection on a reused worker
-thread.
+thread.  A handler error other than a bad parameter answers 500 with a
+JSON ``{"error"}`` naming the exception type, and is reported through
+``handle_error``.
 Route map (reference analog → here):
 
 - ``GET /health``                      (``api.py`` health)          → index stats probe
 - ``GET /stats``                       (storage stats rollup)       → manifest stats
-- ``GET /search?q=&k=&mode=``          (or/and/phrase/phrase_prefix/near/prefix/fuzzy/wildcard/regex)  → ``searcher.search`` / ``search_phrase`` / ``search_phrase_prefix`` / ``search_near`` / ``search_prefix`` / ``search_fuzzy`` / ``search_wildcard`` / ``search_regex`` + metadata join (``lookup_docs``: searchsorted on the resident doc_id-sorted docs table, re-validated per request by a ``docs/`` stat signature — metadata PUTs, adds and compaction show without /reload)
+- ``GET /search?q=&k=&mode=``          (or/and/phrase/phrase_prefix/near/prefix/fuzzy/wildcard/regex)  → ``searcher.search`` / ``search_phrase`` / ``search_phrase_prefix`` / ``search_near`` / ``search_prefix`` / ``search_fuzzy`` / ``search_wildcard`` / ``search_regex`` + metadata join (``ResidentDocs.fragments``: searchsorted on the resident doc_id-sorted docs table, each row's JSON rendered on its first hit and kept with that snapshot, which is re-validated per request by a ``docs/`` stat signature — metadata PUTs, adds and compaction show without /reload)
   (``&slop=N`` with mode=phrase: ordered proximity, ≤N interleaved tokens per step;
   mode=phrase_prefix: last token treated as a prefix (search-as-you-type);
   ``&window=W`` with mode=near: unordered proximity, all terms within a W-token span;
@@ -220,7 +222,8 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
     instead of silently demoting the deployment to a LocalSearcher."""
     from refimage_ray.query.dsl import DSLExecutor, DSLParseError
     from refimage_ray.query.engine import (
-        LocalSearcher, lookup_docs, resident_docs, stream_doc_bytes,
+        LocalSearcher, lookup_docs, meta_fragment, resident_docs,
+        stream_doc_bytes,
     )
 
     from refimage_ray.query.nl import ProviderManager
@@ -271,16 +274,29 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
 
     state["meta_dirs"] = _group_dirs()
 
+    def _meta_dirs() -> list:
+        """Where docs/ metadata lives: a group's parts (disjoint
+        universes), else the artifact itself."""
+        if state["meta_dirs"] is not None:
+            return state["meta_dirs"]
+        return [index_dir]
+
     def _lookup(ids):
-        """Metadata lookup that federates docs/ across a group's parts
-        (disjoint universes — concat needs no dedup)."""
-        if state["meta_dirs"] is None:
-            return lookup_docs(index_dir, ids)
+        """Metadata lookup that federates docs/ across :func:`_meta_dirs`
+        (concat needs no dedup)."""
         import pyarrow as _pa
 
-        return _pa.concat_tables(
-            [lookup_docs(d, ids) for d in state["meta_dirs"]]
-        )
+        return _pa.concat_tables([lookup_docs(d, ids) for d in _meta_dirs()])
+
+    def _fragments(ids) -> dict:
+        """``doc_id → meta_fragment`` from the resident docs snapshots
+        of :func:`_meta_dirs`; ``FileNotFoundError`` when a layout keeps
+        no docs/."""
+        out: dict = {}
+        for d in _meta_dirs():
+            out.update(resident_docs(d).fragments(ids))
+        return out
+
     state["ex"] = DSLExecutor(state["s"])
     # one manager per server so POST /nl/switch affects later /nl2dsl
     # calls (the reference holds its LLMManager the same way)
@@ -294,52 +310,78 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         def log_message(self, *a):  # quiet
             pass
 
-        def _json(self, obj, code: int = 200) -> None:
-            body = json.dumps(obj).encode()
+        def _send(self, body: bytes, code: int = 200) -> None:
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
+        def _json(self, obj, code: int = 200) -> None:
+            self._send(json.dumps(obj).encode(), code)
+
+        def send_response(self, code, message=None) -> None:
+            self._responded = True
+            super().send_response(code, message)
+
         def _body(self) -> dict:
             n = int(self.headers.get("Content-Length") or 0)
             return json.loads(self.rfile.read(n) or b"{}")
 
-        def _hits_with_meta(self, hits):
-            if not hits:
-                return []
+        def _hits(self, hits) -> None:
+            """Answer ``{"results": [...]}``: each hit's ``doc_id`` and
+            ``score`` joined to its metadata row, the bytes of
+            ``json.dumps`` over ``{"doc_id", "score", **{k: str(v)}}``.
+            Rows come pre-rendered from the resident snapshot
+            (``ResidentDocs.fragments``); NRT-buffered hits render on
+            the fly.  Inner join: ids without metadata are dropped
+            (reference skips missing records, api.py:461-474)."""
             try:
-                meta = {
-                    r["doc_id"]: r
-                    for r in _lookup([d for d, _ in hits]).to_pylist()
-                }
+                frags = _fragments([d for d, _ in hits]) if hits else {}
             except FileNotFoundError:
                 # doc-partitioned artifacts keep no docs/ metadata
                 # store — serve bare (doc_id, score) rows instead of
                 # dropping everything through the inner join
-                return [{"doc_id": d, "score": sc} for d, sc in hits]
+                frags = None
             srch = state["s"]
-            if hasattr(srch, "lookup_buffered"):  # NRT: unflushed docs
-                missing = [d for d, _ in hits if d not in meta]
-                if missing:
+            if frags is not None and hasattr(srch, "lookup_buffered"):
+                missing = [d for d, _ in hits if d not in frags]
+                if missing:  # NRT: unflushed docs
                     for r in srch.lookup_buffered(missing):
-                        meta[r["doc_id"]] = r
-            # inner-join semantics: ids without metadata are dropped
-            # (reference skips missing records, api.py:461-474)
-            return [
-                {"doc_id": d, "score": sc, **{k: str(v) for k, v in
-                                              meta[d].items() if k != "doc_id"}}
-                for d, sc in hits if d in meta
-            ]
+                        frags[r["doc_id"]] = meta_fragment(r)
+            # every hit's doc_id and score through one json.dumps; a
+            # JSON number never holds ", ", so the split is exact
+            nums = json.dumps([x for h in hits for x in h])[1:-1].split(", ")
+            rows = []
+            for i, (d, _) in enumerate(hits):
+                f = "" if frags is None else frags.get(d)
+                if f is None:
+                    continue
+                head = '{"doc_id": ' + nums[2 * i]
+                if not f.startswith('"score": '):  # a stored score wins
+                    head += ', "score": ' + nums[2 * i + 1]
+                rows.append(f"{head}, {f}}}" if f else head + "}")
+            self._send(('{"results": [' + ", ".join(rows) + "]}").encode())
+
+        def _guard(self, route, client_errors, prefix) -> None:
+            """Run ``route``: ``client_errors`` answer 422, and any other
+            exception answers 500 naming its type (when no response has
+            started) and goes to ``server.handle_error``."""
+            self._responded = False
+            try:
+                route()
+            except client_errors as err:
+                self._json({"error": f"{prefix}: {err}"}, 422)
+            except Exception as err:
+                if not self._responded:
+                    self._json({"error": "internal error: "
+                                         f"{type(err).__name__}"}, 500)
+                self.server.handle_error(self.request, self.client_address)
 
         def do_GET(self) -> None:
             # bad numeric params are client errors: structured 422, not
             # an uncaught ValueError tearing down the connection
-            try:
-                self._get()
-            except (ValueError, KeyError) as err:
-                self._json({"error": f"bad parameter: {err}"}, 422)
+            self._guard(self._get, (ValueError, KeyError), "bad parameter")
 
         def _get(self) -> None:
             u = urlparse(self.path)
@@ -644,7 +686,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                             {"error": "snippets need the docs/ text "
                                       "store (not kept by this "
                                       "artifact's layout)"}, 422)
-                return self._json({"results": self._hits_with_meta(hits)})
+                return self._hits(hits)
             if u.path == "/count":
                 if not q.get("q", "").strip():
                     return self._json({"error": "empty query"}, 422)
@@ -928,7 +970,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                     # ValueError: executable-but-invalid leaf params
                     # (e.g. a negative window reaching the engine)
                     return self._json({"error": str(err)}, 422)
-                return self._json({"results": self._hits_with_meta(hits)})
+                return self._hits(hits)
             m = _DOC_RE.match(u.path)
             if m and m.group(2) is None:
                 try:
@@ -972,7 +1014,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                     return self._json({"error": "not found"}, 404)
                 except (FileNotFoundError, ValueError) as err:
                     return self._json({"error": str(err)}, 422)
-                return self._json({"results": self._hits_with_meta(hits)})
+                return self._hits(hits)
             if m and m.group(2) == "/file":
                 try:
                     chunks = list(stream_doc_bytes(index_dir, int(m.group(1))))
@@ -993,10 +1035,8 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
             self._json({"error": "no such route"}, 404)
 
         def do_POST(self) -> None:
-            try:
-                self._post()
-            except ValueError as err:  # malformed JSON body, bad number
-                self._json({"error": f"bad request: {err}"}, 422)
+            # malformed JSON body, bad number
+            self._guard(self._post, ValueError, "bad request")
 
         def _post(self) -> None:
             if urlparse(self.path).path == "/reload":
@@ -1151,10 +1191,8 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
             self._json({"error": "no such route"}, 404)
 
         def do_PUT(self) -> None:
-            try:
-                self._put()
-            except ValueError as err:  # malformed JSON body
-                self._json({"error": f"bad request: {err}"}, 422)
+            # malformed JSON body
+            self._guard(self._put, ValueError, "bad request")
 
         def _put(self) -> None:
             pm = re.match(r"^/percolate/rules/([\w.-]+)$",
@@ -1191,6 +1229,9 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
             self._json({"error": "no such route"}, 404)
 
         def do_DELETE(self) -> None:
+            self._guard(self._delete, (), "")
+
+        def _delete(self) -> None:
             pm = re.match(r"^/percolate/rules/([\w.-]+)$",
                           urlparse(self.path).path)
             if pm:
@@ -1198,9 +1239,6 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                 state["perc"] = None
                 return self._json({"deleted": gone is not None},
                                   200 if gone is not None else 404)
-            self._delete_doc()
-
-        def _delete_doc(self) -> None:
             m = _DOC_RE.match(urlparse(self.path).path)
             if m and m.group(2) is None:
                 from refimage_ray.index.lifecycle import delete_docs

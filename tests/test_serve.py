@@ -1122,6 +1122,35 @@ def test_docs_listing_sees_metadata_put_without_reload(server):
         "doc_id", "url", "lang", "doc_len", "n_chars", "warc_ts"}
 
 
+def test_hit_rows_see_metadata_put_without_reload(server):
+    """/search and /dsl render hit rows from the resident docs entry; a
+    metadata PUT installs a new entry, so the next requests show the new
+    value without /reload, and the replaced entry (with its renderings)
+    is freed."""
+    import gc
+    import weakref
+
+    from refimage_ray.query.engine import resident_docs
+
+    base, d = server
+    in_dsl = {r["doc_id"] for r in
+              _get(base + "/dsl?q=spark+OR+join&limit=10")[1]["results"]}
+    doc_id = next(r["doc_id"] for r in
+                  _get(base + "/search?q=spark+join&k=10")[1]["results"]
+                  if r["doc_id"] in in_dsl)
+    old = weakref.ref(resident_docs(d))
+    url = "https://rendered.example/new"
+    st, _ = _req(f"{base}/docs/{doc_id}/metadata", "PUT", {"url": url})
+    assert st == 200
+    for path in ("/search?q=spark+join&k=10", "/dsl?q=spark+OR+join&limit=10"):
+        st, body = _get(base + path)
+        assert st == 200
+        rows = [r for r in body["results"] if r["doc_id"] == doc_id]
+        assert [r["url"] for r in rows] == [url], path
+    gc.collect()
+    assert old() is None
+
+
 _RAY_FREE_SERVE = r"""
 import json, sys, threading, urllib.request
 from refimage_ray.serve import make_server
@@ -1292,10 +1321,10 @@ def test_concurrent_requests_beyond_idle_cap_all_complete(tmp_path):
 
 
 def test_handler_error_keeps_its_worker(tmp_path):
-    """A handler that raises something other than ValueError gets no
-    response (the stdlib ``handle_error`` path), but its worker
-    survives and serves the next request."""
-    import http.client
+    """A handler that raises something other than ValueError/KeyError
+    answers 500 naming the exception type, still reports it through
+    ``server.handle_error``, and its worker survives and serves the
+    next request."""
     import time
 
     from refimage_ray.serve import make_server
@@ -1305,24 +1334,24 @@ def test_handler_error_keeps_its_worker(tmp_path):
             raise RuntimeError("handler failure")
 
     srv = make_server(str(tmp_path), port=0, searcher=_StubSearcher(boom))
-    srv.handle_error = lambda request, client_address: None  # quiet
+    reported = []
+    srv.handle_error = lambda request, client_address: reported.append(
+        client_address)
     seen = _record_threads(srv)
     t, base = _start(srv)
     try:
-        conn = http.client.HTTPConnection("127.0.0.1",
-                                          srv.server_address[1], timeout=30)
-        conn.request("GET", "/search?q=boom")
-        with pytest.raises((http.client.HTTPException, ConnectionError)):
-            conn.getresponse()
-        conn.close()
+        assert _req(base + "/search?q=boom", "GET") == (
+            500, {"error": "internal error: RuntimeError"})
         failed = seen[0]
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline and not any(
                 w is failed for _, w in srv._idle):
             time.sleep(0.01)
+        assert len(reported) == 1  # reported before the worker idles
         assert _get(base + "/health") == (200, {"status": "ok",
                                                 "n_docs": 0})
         assert seen == [failed, failed]
+        assert len(reported) == 1
     finally:
         _stop(srv, t)
 

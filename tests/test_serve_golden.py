@@ -5,13 +5,16 @@ fixture index; each reply's status, ``Content-Type`` and body must
 equal the recorded ``golden/serve_routes.json`` (the ``Date`` and
 ``Server`` headers vary, so they are left out).  The sequence covers
 what ``perfbench`` sends: ``/search`` (or, and, filter, offset),
-``/dsl``, ``/count``, ``POST /docs``, ``POST /reload`` and a 422.  A
-change to how the server dispatches, routes or serializes must leave
-these bytes as they are.
+``/dsl``, ``/count``, ``POST /docs``, ``POST /reload`` and a 422,
+plus ``/docs/{id}/similar`` (the third hit-row route) and
+``/docs/{id}``.  A change to how the server dispatches, routes or
+serializes must leave these bytes as they are.
 
-The goldens were recorded from the thread-per-connection server.  A
-deliberate change of the response format records them again with a
-one-off call to :func:`capture` and shows the JSON diff for review.
+The first 17 records were recorded from the thread-per-connection
+server, the last three from the warm-worker server with the dict-built
+metadata join, before hit rows were pre-rendered.  A deliberate change
+of the response format records them again with a one-off call to
+:func:`capture` and shows the JSON diff for review.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ REQUESTS = [
     ("POST", "/reload", {}),
     ("GET", "/search?q=zanzibar&k=10", None),
     ("GET", "/search?q=spark+join&k=10", None),
+    ("GET", "/docs/36/similar?k=5", None),
+    ("GET", "/docs/36", None),
+    ("GET", "/docs/999999/similar", None),
 ]
 
 
