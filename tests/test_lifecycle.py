@@ -103,16 +103,19 @@ def test_add_documents_incremental(ray_session, tiny_docs, tmp_path):
         assert s1.search(q, k=10) == sf.search(q, k=10), q
 
 
-def test_update_doc_metadata_put(ray_session, built_index):
+def test_update_doc_metadata_put(ray_session, built_index, tmp_path):
     """PUT analog: update url/lang of stored docs; lookup reflects it;
     untouched partitions keep their bytes; missing ids -> KeyError;
     immutable columns -> ValueError."""
     import glob
+    import shutil
 
     from refimage_ray.index.lifecycle import update_doc_metadata
     from refimage_ray.query.engine import LocalSearcher, lookup_docs
 
-    index_dir, cfg, _ = built_index
+    # a private copy: later tests read the shared fixture index as built
+    index_dir = str(tmp_path / "idx")
+    shutil.copytree(built_index[0], index_dir)
     before = {
         p: open(p, "rb").read()
         for p in glob.glob(os.path.join(index_dir, "docs", "*.parquet"))

@@ -7,14 +7,21 @@ equal the recorded ``golden/serve_routes.json`` (the ``Date`` and
 what ``perfbench`` sends: ``/search`` (or, and, filter, offset),
 ``/dsl``, ``/count``, ``POST /docs``, ``POST /reload`` and a 422,
 plus ``/docs/{id}/similar`` (the third hit-row route) and
-``/docs/{id}``.  A change to how the server dispatches, routes or
-serializes must leave these bytes as they are.
+``/docs/{id}``.  After those 20 requests every other route answers
+once with a success and once with a refusal: each ``/search`` mode,
+snippets and rescore, the aggregation and vocabulary routes, the
+per-document routes, the NL and percolate routes, an unknown path and
+a malformed body.  The routes that change the artifact (``PUT`` metadata,
+``DELETE /docs/{id}``) or the percolate rule registry come last.  A
+change to how the server dispatches, routes or serializes must leave
+these bytes as they are.
 
 The first 17 records were recorded from the thread-per-connection
-server, the last three from the warm-worker server with the dict-built
-metadata join, before hit rows were pre-rendered.  A deliberate change
-of the response format records them again with a one-off call to
-:func:`capture` and shows the JSON diff for review.
+server, the next three from the warm-worker server with the dict-built
+metadata join, before hit rows were pre-rendered, and the rest from the
+if-chain router, before routes were dispatched from one table.  A
+deliberate change of the response format records them again with a
+one-off call to :func:`capture` and shows the JSON diff for review.
 """
 
 from __future__ import annotations
@@ -53,6 +60,77 @@ REQUESTS = [
     ("GET", "/docs/36/similar?k=5", None),
     ("GET", "/docs/36", None),
     ("GET", "/docs/999999/similar", None),
+    # every other route, one success and one refusal each (reads first)
+    ("GET", "/health", None),
+    ("GET", "/stats", None),
+    ("GET", "/nosuch", None),
+    ("GET", "/docs?limit=3&sort=n_chars&dir=desc", None),
+    ("GET", "/docs?sort=nope", None),
+    ("GET", "/docs/999999", None),
+    ("GET", "/docs/36/metadata", None),
+    ("GET", "/dsl-syntax", None),
+    ("GET", "/nl/providers", None),
+    ("GET", "/explain?q=spark+AND+join", None),
+    ("GET", "/explain?q=spark+AND", None),
+    ("GET", "/terms?prefix=sp&max=5", None),
+    ("GET", "/terms?prefix=w05&max=-1", None),
+    ("GET", "/suggest?q=sparc&k=3", None),
+    ("GET", "/suggest?q=sparc+jion&mode=phrase", None),
+    ("GET", "/suggest?k=3", None),
+    ("GET", "/significant?q=spark&sample=50&top=5", None),
+    ("GET", "/significant?q=spark&sample=x", None),
+    ("GET", "/grouped?q=spark+join&by=lang&k=2", None),
+    ("GET", "/grouped?q=spark", None),
+    ("GET", "/composite?q=spark&by=lang&size=3", None),
+    ("GET", "/composite?q=spark&by=lang&after=%5Ben", None),
+    ("GET", "/facets?q=spark&by=lang&hist=doc_len:100", None),
+    ("GET", "/facets?dsl=spark+OR+join&by=lang", None),
+    ("GET", "/facets?q=spark&hist=doc_len", None),
+    ("GET", "/search?q=spark+join&mode=phrase&k=3&slop=2", None),
+    ("GET", "/search?q=spark+jo&mode=phrase_prefix&k=3", None),
+    ("GET", "/search?q=spark+join&mode=near&window=10&k=3", None),
+    ("GET", "/search?q=spa&mode=prefix&k=3", None),
+    ("GET", "/search?q=sparc&mode=fuzzy&k=3", None),
+    ("GET", "/search?q=sp*k&mode=wildcard&k=3", None),
+    ("GET", "/search?q=sp.rk&mode=regex&k=3", None),
+    ("GET", "/search?q=spark+join+data&min_match=2&k=3", None),
+    ("GET", "/search?q=spark+join&k=3&after=36:0.3215201044020005", None),
+    ("GET", "/search?q=spark+join&k=3&decay=n_chars:exp:0:2000:0.5", None),
+    ("GET", "/search?q=spark&k=3&order=doc_len:asc&filter=lang%3Den", None),
+    ("GET", "/search?q=spark+join&k=3&rescore_window=20", None),
+    ("GET", "/search?q=spark+join&k=2&snippets=1&width=60", None),
+    ("GET", "/search?q=spark&mode=phrase&filter=lang%3Den", None),
+    ("GET", "/search?q=spark&mode=bogus", None),
+    ("GET", "/search?q=w050+w100&mode=and&k=-1", None),
+    ("GET", "/search?k=3", None),
+    ("GET", "/count?q=spark+join&min_match=-3", None),
+    ("GET", "/dsl?q=spark+AND", None),
+    ("GET", "/docs/36/explain?q=spark+join", None),
+    ("GET", "/docs/36/explain", None),
+    ("GET", "/docs/36/termvectors", None),
+    ("GET", "/docs/999999/termvectors", None),
+    ("GET", "/docs/36/file", None),
+    ("GET", "/docs/999999/file", None),
+    ("GET", "/percolate/rules", None),
+    ("POST", "/percolate", {"text": "spark join"}),
+    ("POST", "/nl2dsl", {"text": "spark and join"}),
+    ("POST", "/nl2dsl", {"text": ""}),
+    ("POST", "/nl/switch", {"provider": "rules"}),
+    ("POST", "/nl/switch", {"provider": "nosuch"}),
+    ("POST", "/docs", "spark"),
+    # the routes that change the artifact or the rule registry last
+    ("PUT", "/docs/36/metadata", {"lang": "xx"}),
+    ("GET", "/docs/36", None),
+    ("PUT", "/docs/999999/metadata", {"lang": "xx"}),
+    ("DELETE", "/docs/37", None),
+    ("DELETE", "/docs/abc", None),
+    ("PUT", "/percolate/rules/r1", {"dsl": "spark AND join"}),
+    ("PUT", "/percolate/rules/bad", {"dsl": "spark AND"}),
+    ("GET", "/percolate/rules", None),
+    ("POST", "/percolate", {"text": "spark join here"}),
+    ("POST", "/percolate", {"text": ""}),
+    ("DELETE", "/percolate/rules/r1", None),
+    ("DELETE", "/percolate/rules/r1", None),
 ]
 
 
