@@ -864,7 +864,10 @@ class _DocPartCoordinator:
         min_match: "int | None" = None,
     ) -> int:
         """Exact hit count: shard counts sum exactly (doc shards are
-        disjoint)."""
+        disjoint).  ``min_match`` is checked once, before the scatter."""
+        from refimage_ray.query.engine import _check_min_match
+
+        min_match = _check_min_match(min_match, mode)
         return sum(self._views("count", query, mode, where, min_match))
 
     def facets(

@@ -43,7 +43,7 @@ from refimage_ray.functions.codec import delta_decode, varbyte_decode
 from refimage_ray.functions.hashing import blake2b64
 from refimage_ray.functions.text import tokenize
 from refimage_ray.index.manifest import load_manifest
-from refimage_ray.query.engine import query_terms
+from refimage_ray.query.engine import _check_min_match, query_terms
 
 
 def matches_dataset(
@@ -57,8 +57,7 @@ def matches_dataset(
     — see the module docstring for the distributed shape."""
     if mode not in ("or", "and"):
         raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
-    if min_match is not None and mode != "or":
-        raise ValueError("min_match only applies to mode='or'")
+    min_match = _check_min_match(min_match, mode)
     man = load_manifest(index_dir)
     if man is None:
         raise ValueError(f"no index manifest under {index_dir}")

@@ -178,6 +178,22 @@ def _check_offset(offset) -> None:
         raise ValueError(f"offset must be a non-negative int, got {offset!r}")
 
 
+def _check_min_match(min_match, mode: str) -> "int | None":
+    """``min_match`` checked for ``search`` and ``count`` alike: the
+    Lucene minimum_should_match analog keeps docs matching at least m
+    DISTINCT query terms (an OR whose membership is tightened), so it
+    must be >= 1 and applies to mode='or'.  m=1 is plain OR and comes
+    back None, which keeps the pruned fast paths."""
+    if min_match is None:
+        return None
+    min_match = int(min_match)
+    if min_match < 1:
+        raise ValueError(f"min_match must be >= 1, got {min_match}")
+    if mode != "or":
+        raise ValueError("min_match applies to mode='or'")
+    return None if min_match == 1 else min_match
+
+
 def _gallop_member(p: TermPostings, candidates: np.ndarray) -> np.ndarray:
     """Membership mask of candidates in p.doc_ids, using block fences
     to narrow then binary search within (vectorized skip + search)."""
@@ -730,18 +746,7 @@ class _SearcherBase:
                     "with order_by"
                 )
             after = (a_id, a_score)
-        if min_match is not None:
-            # Lucene minimum_should_match analog: docs matching at
-            # least m DISTINCT query terms, scored over the terms they
-            # match (an OR whose membership is tightened).  m=1 is
-            # plain OR; m=len(terms) is AND membership.
-            min_match = int(min_match)
-            if min_match < 1:
-                raise ValueError(f"min_match must be >= 1, got {min_match}")
-            if mode != "or":
-                raise ValueError("min_match applies to mode='or'")
-            if min_match == 1:
-                min_match = None  # plain OR — keep the pruned fast paths
+        min_match = _check_min_match(min_match, mode)
         idf_fn = _idf
         if scorer != "bm25":
             term_map = self._rescore_map(term_map, scorer, terms)
@@ -1248,8 +1253,7 @@ class _SearcherBase:
         one exact membership evaluation + O(candidates) mask probes."""
         if mode not in ("or", "and"):
             raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
-        if min_match is not None and mode != "or":
-            raise ValueError("min_match only applies to mode='or'")
+        min_match = _check_min_match(min_match, mode)
         terms = query_terms(self._tokenize(query))
         term_map = self._term_map(terms)
         if where is None:

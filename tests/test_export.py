@@ -40,6 +40,10 @@ def test_export_min_match_and_columns(built_index):
     assert (df["n_terms"] >= 2).all()
     with pytest.raises(ValueError):
         matches_dataset(index_dir, q, mode="and", min_match=1)
+    # refused like engine.count, not the unnarrowed membership
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="min_match must be >= 1"):
+            matches_dataset(index_dir, q, min_match=m)
 
 
 def test_export_excludes_tombstones(built_index, tmp_path):

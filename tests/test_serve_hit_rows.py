@@ -8,7 +8,8 @@ backslash and non-ASCII characters, timestamps with and without
 microseconds, float, bool, int and list columns, a stored ``score``
 column, a store holding only ``doc_id``, doc_ids stored twice (within a
 file and across files), hit ids missing from the store, NRT-buffered
-hits and a two-part rollover group.
+hits and a two-part rollover group.  ``GET /docs/{id}`` answers the row
+the hit rows carry for a doc_id stored twice.
 """
 
 from __future__ import annotations
@@ -295,3 +296,38 @@ def test_concurrent_fragment_fills_agree():
     last = {d: j for j, d in enumerate(ids)}
     asked = {d for f in got for d in f}
     assert set(ent.frags) == {last[d] for d in asked}
+
+
+class _OneHit:
+    """A searcher whose every search hits doc 5."""
+
+    n_docs = 1
+
+    def search(self, query, **kwargs):
+        return [(5, 1.0)]
+
+
+@pytest.mark.parametrize("files", [1, 2])
+def test_doc_route_answers_the_row_hits_carry(tmp_path, files):
+    """A doc_id stored twice, ``url="first"`` and then ``url="last"``
+    (within one file, or across two): ``GET /docs/5`` answers the last
+    row, the one ``/search`` hit rows carry."""
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    rows = [(5, "first"), (7, "other"), (5, "last")]
+    cut = 3 if files == 1 else 2
+    for j, part in enumerate([rows[:cut], rows[cut:]][:files]):
+        pq.write_table(pa.table({"doc_id": pa.array([d for d, _ in part],
+                                                    pa.int64()),
+                                 "url": [u for _, u in part]}),
+                       str(docs / f"part-{j}.parquet"))
+    srv, t, base = _serve(str(tmp_path), _OneHit())
+    try:
+        hit = json.loads(_get(base + "/search?q=x"))["results"]
+        assert hit == [{"doc_id": 5, "score": 1.0, "url": "last"}]
+        assert json.loads(_get(base + "/docs/5")) == {"doc_id": "5",
+                                                      "url": "last"}
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        t.join(timeout=30)
