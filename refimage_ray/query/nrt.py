@@ -162,12 +162,15 @@ class _PostingBuffer:
         import pyarrow.compute as pc
 
         from refimage_ray.functions.arrays import sorted_membership
-        from refimage_ray.stages.tokenize import _flat_tokens, doc_lengths
+        from refimage_ray.stages.tokenize import _flat_tokens
 
         if not {"doc_id", "text"} <= set(docs.column_names):
             raise ValueError("add() needs doc_id and text columns")
         ids = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dl = doc_lengths(docs["text"], self._cfg).astype(np.int64)
+        # one tokenizer pass: doc_len is the row's token count, as in
+        # tokenize_batch
+        flat, parent = _flat_tokens(docs["text"], self._cfg)
+        dl = np.bincount(parent, minlength=len(ids))
         order = np.argsort(ids, kind="stable")
         s_ids, s_dl = ids[order], dl[order]
         if (s_ids[1:] == s_ids[:-1]).any():
@@ -184,7 +187,6 @@ class _PostingBuffer:
             np.zeros(len(s_ids), np.int64) if shard_of is None
             else shard_of(s_ids)
         )
-        flat, parent = _flat_tokens(docs["text"], self._cfg)
         if len(flat):
             dct = pc.dictionary_encode(flat)
             vocab = dct.dictionary.to_pylist()

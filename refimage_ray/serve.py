@@ -7,6 +7,18 @@ whose handlers call exactly the library entry points a user would;
 :class:`WarmHTTPServer` serves each connection on a reused worker
 thread.
 
+Request path: the handler reads the request line and the header lines
+in one pass into the stdlib's ``HTTPMessage`` (``Handler.parse_request``;
+the stdlib's own parse goes through ``email.feedparser``, ~80 µs a
+request), with the stdlib's refusals (400, 431, 505) and 400 for what
+the stdlib would misread (an HTTP/0.9 request, a header line without a
+colon, an obs-fold line).  A JSON answer leaves in one write: status
+line, ``Server``, ``Date`` (formatted once a second), ``Content-Type``,
+``Content-Length`` and body, the bytes the stdlib's ``send_response`` /
+``send_header`` / ``end_headers`` would send in two.  ``send_error``
+and the chunked ``/docs/{id}/file`` keep the stdlib path.  Replies are
+HTTP/1.0: every connection closes after its reply.
+
 Dispatch and validation: one table maps ``(verb, path)`` to a handler;
 the ``/docs/{id}…`` routes (``_DOC_RE``) and ``/percolate/rules/{id}``
 resolve through one pattern each, and any other request answers 404
@@ -68,11 +80,14 @@ partition rewrites.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import queue
 import re
 import threading
+import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -82,6 +97,14 @@ _DOC_RE = re.compile(
     r"^/docs/(\d+)(/file|/metadata|/similar|/explain|/termvectors)?$"
 )
 _RULE_RE = re.compile(r"^/percolate/rules/([\w.-]+)$")
+
+# the request head: a version the stdlib accepts, a header name as
+# ``email.feedparser`` reads one (printable ASCII but the colon), and
+# the stdlib's limits (``http.client._MAXLINE``, ``_MAXHEADERS``, which
+# counts the blank line that ends the head)
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_FIELD_RE = re.compile(r"[\x21-\x39\x3b-\x7e]+:")
+_MAX_LINE, _MAX_HEADERS = 65536, 100
 
 _COND_RE = re.compile(
     r"^\s*(\w+)\s*(!=|<=|>=|=|<|>)\s*(.+?)\s*$"
@@ -269,6 +292,16 @@ class _Params:
         return after
 
 
+def _text_field(body: dict, name: str) -> str:
+    """The string field ``name`` of a request body (``""`` when absent);
+    any other JSON type is refused as ``bad request: …``."""
+    v = body.get(name, "")
+    if not isinstance(v, str):
+        raise ValueError(f"bad request: {name} must be a string, "
+                         f"got {type(v).__name__}")
+    return v
+
+
 def _refusal(err: Exception, errors: dict):
     """``(status, text)`` a client error answers, None for a server
     error: the route's own ``errors`` first, then ``ValueError`` → 422
@@ -281,6 +314,12 @@ def _refusal(err: Exception, errors: dict):
     if isinstance(err, KeyError):
         return 422, f"bad parameter: {err}"
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header, formatted once a second."""
+    return formatdate(second, usegmt=True)
 
 
 # Idle workers kept warm; a worker that finishes while this many are
@@ -439,6 +478,21 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         import pyarrow as _pa
 
         return _pa.concat_tables([lookup_docs(d, ids) for d in _meta_dirs()])
+
+    def _deleted(doc_id: int) -> bool:
+        """Whether ``doc_id`` is tombstoned (``DELETE /docs/{id}``) in
+        the artifact or in a group's parts: ``docs/`` keeps a deleted
+        doc's row.  Read by ``GET /docs/{id}`` only; the hit rows
+        follow the searcher, whose snapshot drops tombstoned docs on
+        /reload."""
+        import pyarrow.parquet as pq
+
+        for d in dict.fromkeys([index_dir, *_meta_dirs()]):
+            p = os.path.join(d, "tombstones.parquet")
+            if os.path.exists(p) and (
+                    pq.read_table(p)["doc_id"].to_numpy() == doc_id).any():
+                return True
+        return False
 
     def _fragments(ids) -> dict:
         """``doc_id → meta_fragment`` from the resident docs snapshots
@@ -822,7 +876,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
     @route("GET", "/docs/{id}", {**_NOT_FOUND, FileNotFoundError: (
         404, "not found")})
     def _doc(req):
-        rows = _lookup([req.arg]).to_pylist()
+        rows = [] if _deleted(req.arg) else _lookup([req.arg]).to_pylist()
         if not rows:
             raise KeyError(req.arg)
         # a doc_id stored twice answers its last row, as the hit rows do
@@ -901,7 +955,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         from refimage_ray.stages.percolate import Percolator
 
         body = req._body()
-        text = body.get("text", "")
+        text = _text_field(body, "text")
         if not text.strip():
             raise ValueError("empty text")
         if not state["perc_rules"]:
@@ -910,7 +964,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         if state["perc"] is None:
             state["perc"] = Percolator(dict(state["perc_rules"]))
         cols = {"doc_id": pa.array([0], pa.int64()),
-                "text": pa.array([str(text)], pa.string())}
+                "text": pa.array([text], pa.string())}
         if body.get("lang") is not None:
             cols["lang"] = pa.array([str(body["lang"])], pa.string())
         hits = state["perc"](pa.table(cols))
@@ -974,7 +1028,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         from refimage_ray.query.nl import text_to_dsl
 
         body = req._body()
-        text = body.get("text", "")
+        text = _text_field(body, "text")
         if not text.strip():
             raise ValueError("empty text")
         return {"dsl": text_to_dsl(text, manager=state["nl"],
@@ -994,7 +1048,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
     def _put_rule(req):
         from refimage_ray.query.dsl import DSLParser
 
-        dsl = req._body().get("dsl", "")
+        dsl = _text_field(req._body(), "dsl")
         DSLParser().parse(dsl)  # validate before storing
         state["perc_rules"][req.arg] = dsl
         state["perc"] = None  # recompile lazily
@@ -1024,15 +1078,84 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         return {"tombstones": int(delete_docs(index_dir, [req.arg]))}
 
     class Handler(BaseHTTPRequestHandler):
+        # a request line the server cannot read is answered with a
+        # status line too (the stdlib answers it in HTTP/0.9 form)
+        default_request_version = "HTTP/1.0"
+
         def log_message(self, *a):  # quiet
             pass
 
+        def parse_request(self) -> bool:
+            """The request line and the header lines in one pass, into
+            the stdlib's ``HTTPMessage`` (without its ``email`` parser).
+            Refused through ``send_error`` as the stdlib refuses them: a
+            malformed request line (400), HTTP/2 and later (505), a
+            header line over 65,536 bytes, or 100 header lines and one
+            more line (431).  Refused where the stdlib would misread them:
+            a two-word HTTP/0.9 request, a header line without a colon
+            and an obs-fold continuation line (400).  Replies are
+            HTTP/1.0, so every connection closes after one."""
+            self.command = None
+            self.request_version = self.default_request_version
+            self.close_connection = True
+            line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            self.requestline = line
+            words = line.split()
+            if not words:
+                return False
+            if len(words) >= 3:
+                m = _VERSION_RE.fullmatch(words[-1])
+                if m is None:
+                    self.send_error(
+                        400, f"Bad request version ({words[-1]!r})")
+                    return False
+                if int(m[1]) >= 2:
+                    self.send_error(
+                        505, f"Invalid HTTP version ({m[1]}.{m[2]})")
+                    return False
+                self.request_version = words[-1]
+            if len(words) != 3:
+                self.send_error(400, f"Bad request syntax ({line!r})")
+                return False
+            self.command, path = words[:2]
+            # gh-87389, as the stdlib: '//x' would read as a host
+            self.path = "/" + path.lstrip("/") if path[:2] == "//" else path
+            self.headers = headers = self.MessageClass()
+            # the stdlib reads the line after the 100th before refusing
+            for n in range(_MAX_HEADERS + 1):
+                raw = self.rfile.readline(_MAX_LINE + 1)
+                if len(raw) > _MAX_LINE:
+                    self.send_error(431, "Line too long", "got more than "
+                                    f"{_MAX_LINE} bytes when reading header line")
+                    return False
+                if n == _MAX_HEADERS:
+                    break
+                if raw in (b"\r\n", b"\n", b""):
+                    return True
+                text = str(raw, "iso-8859-1")
+                m = _FIELD_RE.match(text)
+                if m is None:
+                    self.send_error(400, "Bad header line", repr(text))
+                    return False
+                headers.set_raw(text[:m.end() - 1],
+                                text[m.end():].strip(" \t\r\n"))
+            self.send_error(431, "Too many headers",
+                            f"got more than {_MAX_HEADERS} headers")
+            return False
+
         def _send(self, body: bytes, code: int = 200) -> None:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            """Status line, headers and body in one write: the head
+            ``send_response``, ``send_header`` and ``end_headers`` would
+            flush (``Server``, ``Date``, ``Content-Type``,
+            ``Content-Length``), byte for byte."""
+            self._responded = True
+            self.wfile.write((
+                f"{self.protocol_version} {code} {self.responses[code][0]}"
+                f"\r\nServer: {self.version_string()}"
+                f"\r\nDate: {_http_date(int(time.time()))}"
+                "\r\nContent-Type: application/json"
+                f"\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1") + body)
 
         def _json(self, obj, code: int = 200) -> None:
             self._send(json.dumps(obj).encode(), code)

@@ -1436,3 +1436,162 @@ def test_shutdown_alone_releases_server_and_workers(tmp_path):
     del srv
     gc.collect()
     assert ref() is None
+
+
+def test_get_deleted_doc_is_not_found(ray_session, built_index, tmp_path):
+    """``DELETE /docs/{id}`` tombstones the doc while ``docs/`` keeps its
+    row; ``GET /docs/{id}`` answers 404 for it, before and after
+    /reload, and a live doc answers as before."""
+    d = str(tmp_path / "idx")
+    shutil.copytree(built_index[0], d)
+    from refimage_ray.serve import make_server
+
+    t, base = _start(make_server(d, port=0))
+    gone, live = [r["doc_id"] for r in
+                  _get(base + "/search?q=data&k=2")[1]["results"]]
+    before = _get(f"{base}/docs/{live}")
+    assert _get(f"{base}/docs/{gone}")[0] == 200
+    assert _req(f"{base}/docs/{gone}", "DELETE")[0] == 200
+    assert _req(f"{base}/docs/{gone}", "GET") == (404, {"error": "not found"})
+    assert _get(f"{base}/docs/{live}") == before
+    assert _req(base + "/reload", "POST")[0] == 200
+    assert _req(f"{base}/docs/{gone}", "GET") == (404, {"error": "not found"})
+    assert _get(f"{base}/docs/{live}") == before
+
+
+def _raw(base: str, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket and read the whole reply."""
+    import socket
+
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+        s.sendall(data)
+        out = b""
+        while chunk := s.recv(65536):
+            out += chunk
+    return out
+
+
+def test_request_head_lowercase_content_length(server):
+    """Header names are case-insensitive: a lowercase
+    ``content-length`` delivers the body of a ``POST /docs``, in a head
+    of 99 header lines, the most the stdlib accepts."""
+    base, _ = server
+    body = json.dumps({"docs": [{"doc_id": 10**12 + 77,
+                                 "text": "lowercase header probe"}]}).encode()
+    filler = b"".join(b"x-f%d: 1\r\n" % i for i in range(96))
+    out = _raw(base, b"POST /docs HTTP/1.1\r\nhost: x\r\n" + filler
+               + b"content-type: application/json\r\n"
+               b"content-length: %d\r\n\r\n" % len(body) + body)
+    head, _, reply = out.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 200 OK\r\n")
+    assert json.loads(reply)["added"] == 1
+
+
+# a request head the server refuses (each sent whole: the server reads
+# every byte of it before answering) → the status line's code
+_BAD_HEADS = {
+    "100 headers": b"".join(b"X-H%d: 1\r\n" % i for i in range(100))
+    + b"\r\n",
+    "101 headers": b"".join(b"X-H%d: 1\r\n" % i for i in range(101)),
+    "65537-byte line": b"X-Big: " + b"a" * (65537 - 9) + b"\r\n",
+    "no colon": b"Host x\r\n",
+    "obs-fold": b"X-A: 1\r\n folded\r\n",
+}
+
+
+@pytest.mark.parametrize("name,code", [
+    ("100 headers", 431), ("101 headers", 431), ("65537-byte line", 431),
+    ("no colon", 400),
+    ("obs-fold", 400), ("HTTP/2.0", 505), ("HTTP/0.9", 400),
+])
+def test_request_head_refusals(server, name, code):
+    base, _ = server
+    if name == "HTTP/2.0":
+        data = b"GET /health HTTP/2.0\r\n"
+    elif name == "HTTP/0.9":
+        data = b"GET /health\r\n"
+    else:
+        data = b"GET /health HTTP/1.1\r\n" + _BAD_HEADS[name]
+    assert _raw(base, data).startswith(b"HTTP/1.0 %d " % code)
+    # the server goes on answering
+    assert _get(base + "/health")[0] == 200
+
+
+class _Writes:
+    """A handler's ``wfile`` that records each write."""
+
+    def __init__(self, w, log: list) -> None:
+        self.w, self.log = w, log
+
+    @property
+    def closed(self):
+        return self.w.closed
+
+    def write(self, b):
+        self.log.append(bytes(b))
+        return self.w.write(b)
+
+    def flush(self):
+        self.w.flush()
+
+    def close(self):
+        self.w.close()
+
+
+def _stdlib_head(code: int, length: int) -> bytes:
+    """The head ``BaseHTTPRequestHandler`` writes for a JSON reply."""
+    import io
+    from http.server import BaseHTTPRequestHandler
+
+    h = BaseHTTPRequestHandler.__new__(BaseHTTPRequestHandler)
+    h.request_version, h.requestline = "HTTP/1.0", "GET / HTTP/1.0"
+    h.client_address = ("127.0.0.1", 0)
+    h.log_message = lambda *a: None
+    h.wfile = io.BytesIO()
+    h.send_response(code)
+    h.send_header("Content-Type", "application/json")
+    h.send_header("Content-Length", str(length))
+    h.end_headers()
+    return h.wfile.getvalue()
+
+
+def test_response_head_is_the_stdlib_head_in_one_write(tmp_path):
+    """A 200 and a 422 carry the head the stdlib's ``send_response``,
+    ``send_header`` and ``end_headers`` write (the ``Date`` value
+    aside), and head and body leave in a single write."""
+    import email.utils
+    import re
+    import time
+
+    from refimage_ray.serve import make_server
+
+    def mask(head):
+        return re.sub(rb"\r\nDate: [^\r]*", b"\r\nDate: -", head)
+
+    srv = make_server(str(tmp_path), port=0, searcher=_StubSearcher())
+    writes = []
+    setup = srv.RequestHandlerClass.setup
+
+    def recording_setup(self):
+        setup(self)
+        self.wfile = _Writes(self.wfile, writes)
+
+    srv.RequestHandlerClass.setup = recording_setup
+    t, base = _start(srv)
+    try:
+        for path, code in (("/search?q=x", 200), ("/search?q=x&k=-1", 422)):
+            writes.clear()
+            out = _raw(base, b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n"
+                       % path.encode())
+            head, body = out.split(b"\r\n\r\n", 1)
+            assert writes == [out]
+            date = re.search(rb"\r\nDate: ([^\r]*)", head)[1]
+            when = email.utils.parsedate_to_datetime(date.decode())
+            assert abs(when.timestamp() - time.time()) < 60
+            assert mask(head + b"\r\n\r\n") == mask(
+                _stdlib_head(code, len(body)))
+        assert body == json.dumps(
+            {"error": "bad parameter: k must be >= 0, got -1"}).encode()
+    finally:
+        _stop(srv, t)

@@ -4,7 +4,8 @@ Every query parameter goes through one reader with a declared lower
 bound, so a negative size is refused with 422 ``bad parameter: …`` on
 every route, on both index layouts, instead of slicing the answer.
 ``count`` checks ``min_match`` as ``search`` does, and a request body
-that is not a JSON object answers 422 ``bad request: …``, not 500.
+that is not a JSON object, or whose text field is not a string, answers
+422 ``bad request: …``, not 500.
 """
 
 from __future__ import annotations
@@ -144,12 +145,24 @@ def test_count_route_refuses_bad_min_match(layouts):
         assert st == 200 and body["count"] > 0
 
 
-@pytest.mark.parametrize("body", [b'"spark"', b"[1, 2]", b"3", b"null"])
-@pytest.mark.parametrize("method,path", [
-    ("POST", "/docs"), ("POST", "/percolate"), ("PUT", "/docs/5/metadata"),
-])
-def test_non_object_body_is_refused(layouts, method, path, body):
-    kind = type(json.loads(body)).__name__
+# (method, path, body, refusal): a body that is not a JSON object, and a
+# text field of another JSON type
+BAD_BODIES = [
+    (method, path, body, "the body must be a JSON object, got "
+     + type(json.loads(body)).__name__)
+    for method, path in [("POST", "/docs"), ("POST", "/percolate"),
+                         ("PUT", "/docs/5/metadata")]
+    for body in [b'"spark"', b"[1, 2]", b"3", b"null"]
+] + [
+    ("POST", "/percolate", b'{"text": 5}', "text must be a string, got int"),
+    ("POST", "/nl2dsl", b'{"text": 5}', "text must be a string, got int"),
+    ("PUT", "/percolate/rules/x", b'{"dsl": 5}',
+     "dsl must be a string, got int"),
+]
+
+
+@pytest.mark.parametrize("method,path,body,refusal", BAD_BODIES, ids=[
+    f"{m}-{p}-{b.decode()}" for m, p, b, _ in BAD_BODIES])
+def test_non_object_body_is_refused(layouts, method, path, body, refusal):
     st, got = _call(layouts["term"][0] + path, method, body)
-    assert (st, got) == (422, {"error": "bad request: the body must be a "
-                                        f"JSON object, got {kind}"})
+    assert (st, got) == (422, {"error": f"bad request: {refusal}"})
