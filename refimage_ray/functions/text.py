@@ -99,9 +99,3 @@ def apply_term_filter_array(flat, name: str):
 def term_counts(text: str) -> Counter:
     """Per-document term frequencies (the tokenizer's pre-aggregation)."""
     return Counter(tokenize(text))
-
-
-def is_blank(text: str | None) -> bool:
-    """Reject empty/whitespace-only input (reference:
-    ``schemas.py:28-34``, ``clip_model.py:157-159``)."""
-    return text is None or not text.strip()

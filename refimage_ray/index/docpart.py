@@ -970,6 +970,15 @@ class _DocPartCoordinator:
         after_key = page[-1]["key"] if page and len(keys) > size else None
         return {"buckets": page, "after_key": after_key}
 
+    def _tokenize(self, text: str) -> list[str]:
+        """Query tokens under the artifact's analyzer (its manifest's
+        token_pattern and term_filter), as every shard view has it."""
+        from refimage_ray.functions.text import tokenize
+
+        man_cfg = self.manifest["config"]
+        return tokenize(text, man_cfg.get("token_pattern"),
+                        man_cfg.get("term_filter", "none"))
+
     # --- vocabulary expansion, against the GLOBAL terms table ---
 
     def _vocab(self) -> _GlobalVocabExpander:
@@ -1054,7 +1063,6 @@ class _DocPartCoordinator:
         top-(k+offset) is dominated by ≥k+offset docs globally
         (per-completion cut lines), ties resolved identically by the
         shared (score desc, doc_id asc) rule."""
-        from refimage_ray.functions.text import tokenize
         from refimage_ray.query.engine import _check_offset
         from refimage_ray.query.scorer import topk_select
 
@@ -1062,7 +1070,7 @@ class _DocPartCoordinator:
         threshold = cfg.default_threshold if threshold is None else threshold
         _check_offset(offset)
         vocab = self._vocab()
-        toks = tokenize(phrase, vocab._token_pattern, vocab._term_filter)
+        toks = self._tokenize(phrase)
         if not toks:
             return []
         head, last = toks[:-1], toks[-1]
@@ -1104,7 +1112,6 @@ class _DocPartCoordinator:
         by elementwise min into exactly the term layout's gaps — same
         prox, same combined scores).  Needs ``store_positions`` — this
         layout keeps no text store to fall back to."""
-        from refimage_ray.functions.text import tokenize
         from refimage_ray.query.engine import _rescore_combine, query_terms
 
         k = cfg.default_k if k is None else k
@@ -1114,11 +1121,7 @@ class _DocPartCoordinator:
                            mode=mode, cfg=cfg)
         if not base:
             return []
-        man_cfg = self.manifest["config"]
-        terms = query_terms(tokenize(
-            query, man_cfg.get("token_pattern"),
-            man_cfg.get("term_filter", "none"),
-        ))
+        terms = query_terms(self._tokenize(query))
 
         def gaps_of(cand_s: np.ndarray) -> np.ndarray:
             g = np.full(len(cand_s), np.inf)

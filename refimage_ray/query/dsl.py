@@ -247,7 +247,14 @@ class DSLParser:
     never implements a parser for (``llm.py:399-425``):
     ``TEXT("x")``, ``AND(e, ...)``, ``OR(e, ...)``,
     ``EXCLUDE(base, excluded)``, ``WEIGHT(e, w)``, ``TAG("en")``.
+
+    ``tokenize`` is the searcher's query tokenizer: a text operand it
+    reduces to no tokens (``((``) adds no text leaf, so an operand with
+    nothing else is refused.  Without it every non-blank text counts.
     """
+
+    def __init__(self, tokenize=None) -> None:
+        self._tokenize = tokenize
 
     def parse(self, query: str) -> QueryNode:
         query = query.strip()
@@ -459,7 +466,7 @@ class DSLParser:
         tags = TAG_RE.findall(q)
         text = TAG_RE.sub("", q).strip()
         leaves: list[QueryNode] = []
-        if text:
+        if text and (self._tokenize is None or self._tokenize(text)):
             leaves.append(TextQuery(text, weight))
         for ph, slop in phrases:
             if ph.strip():
@@ -522,7 +529,7 @@ class DSLExecutor:
 
     def __init__(self, searcher) -> None:
         self.searcher = searcher
-        self.parser = DSLParser()
+        self.parser = DSLParser(getattr(searcher, "_tokenize", None))
 
     def execute_query(
         self, query_string: str, limit: int = 50, threshold: float = 0.0

@@ -208,6 +208,60 @@ def _gallop_member(p: TermPostings, candidates: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _maxscore_candidates(
+    term_map: dict[str, TermPostings], terms: list[str], n_docs: int,
+    k: int, threshold: float, idf_fn,
+) -> tuple[list, float, "np.ndarray | None"]:
+    """MaxScore phase 1, shared by both pruned kernels: ``(infos, θ,
+    candidates)``.  ``infos`` holds ``(term, postings, idf, ub = idf ·
+    max_weight)`` per matching query term, in query-term order; θ is a
+    lower bound on the kth final score (the kth-largest single-term
+    contribution of the strongest term, or ``threshold``); candidates
+    are the union of the essential lists (the minimal prefix by
+    descending ub whose remaining suffix sums below θ), or None when
+    fewer than k survive (nothing to prune)."""
+    infos = []
+    for t in terms:
+        p = term_map.get(t)
+        if p is None or p.df == 0:
+            continue
+        t_idf = idf_fn(p.df, n_docs)
+        infos.append((t, p, t_idf, t_idf * p.max_weight))
+    if not infos:
+        return infos, threshold, np.zeros(0, np.int64)
+    by_ub = sorted(infos, key=lambda x: (-x[3], x[0]))
+
+    contrib1 = by_ub[0][2] * by_ub[0][1].weights
+    if len(contrib1) >= k > 0:
+        theta = float(-np.partition(-contrib1, k - 1)[k - 1])
+    else:
+        theta = float("-inf")
+    theta = max(theta, threshold)
+
+    ubs = np.array([x[3] for x in by_ub])
+    suffix = np.concatenate((np.cumsum(ubs[::-1])[::-1], [0.0]))
+    # minimal essential prefix: suffix sum strictly below θ is prunable
+    j = len(by_ub)
+    for i in range(1, len(by_ub) + 1):
+        if suffix[i] < theta:
+            j = i
+            break
+    cand = np.unique(np.concatenate([x[1].doc_ids for x in by_ub[:j]]))
+    return infos, theta, (cand if len(cand) >= k else None)
+
+
+def _rescore(infos: list, cand: np.ndarray) -> np.ndarray:
+    """Exact scores of ``cand`` over every term of ``infos``,
+    accumulated in query-term order → canonical float sums."""
+    scores = np.zeros(len(cand), np.float64)
+    for _, p, t_idf, _ in infos:
+        idx = np.searchsorted(p.doc_ids, cand)
+        ok = idx < len(p.doc_ids)
+        ok[ok] = p.doc_ids[idx[ok]] == cand[ok]
+        scores[ok] += t_idf * p.weights[idx[ok]]
+    return scores
+
+
 def _topk_disjunctive_pruned(
     term_map: dict[str, TermPostings],
     terms: list[str],
@@ -229,46 +283,11 @@ def _topk_disjunctive_pruned(
     the unpruned path — asserted in tests.  The win: stopword-sized
     lists are never unioned, only probed by binary search.
     """
-    infos = []
-    for t in terms:
-        p = term_map.get(t)
-        if p is None or p.df == 0:
-            continue
-        t_idf = idf_fn(p.df, n_docs)
-        infos.append((t, p, t_idf, t_idf * p.max_weight))
-    if not infos:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64)
-    infos.sort(key=lambda x: (-x[3], x[0]))
-
-    contrib1 = infos[0][2] * infos[0][1].weights
-    if len(contrib1) >= k > 0:
-        theta = float(-np.partition(-contrib1, k - 1)[k - 1])
-    else:
-        theta = float("-inf")
-    theta = max(theta, threshold)
-
-    ubs = np.array([x[3] for x in infos])
-    suffix = np.concatenate((np.cumsum(ubs[::-1])[::-1], [0.0]))
-    # minimal essential prefix: suffix sum strictly below θ is prunable
-    j = len(infos)
-    for i in range(1, len(infos) + 1):
-        if suffix[i] < theta:
-            j = i
-            break
-    cand = np.unique(np.concatenate([infos[i][1].doc_ids for i in range(j)]))
-    if len(cand) < k:  # not enough candidates → no pruning possible
+    infos, _, cand = _maxscore_candidates(term_map, terms, n_docs, k,
+                                          threshold, idf_fn)
+    if cand is None:  # not enough candidates → no pruning possible
         return _score_disjunctive(term_map, terms, n_docs, idf_fn)
-
-    scores = np.zeros(len(cand), np.float64)
-    for t in terms:  # ascending term order → canonical float sums
-        p = term_map.get(t)
-        if p is None or p.df == 0:
-            continue
-        idx = np.searchsorted(p.doc_ids, cand)
-        ok = idx < len(p.doc_ids)
-        ok[ok] = p.doc_ids[idx[ok]] == cand[ok]
-        scores[ok] += idf_fn(p.df, n_docs) * p.weights[idx[ok]]
-    return cand, scores
+    return cand, _rescore(infos, cand)
 
 
 def _topk_disjunctive_blockmax(
@@ -308,33 +327,9 @@ def _topk_disjunctive_blockmax(
     the (score desc, doc_id asc) tie-break.  Survivors are rescored
     exactly → bit-identical to the unpruned path (asserted in tests).
     """
-    infos = []
-    for t in terms:
-        p = term_map.get(t)
-        if p is None or p.df == 0:
-            continue
-        t_idf = idf_fn(p.df, n_docs)
-        infos.append((t, p, t_idf, t_idf * p.max_weight))
-    if not infos:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64)
-    by_ub = sorted(infos, key=lambda x: (-x[3], x[0]))
-
-    contrib1 = by_ub[0][2] * by_ub[0][1].weights
-    if len(contrib1) >= k > 0:
-        theta = float(-np.partition(-contrib1, k - 1)[k - 1])
-    else:
-        theta = float("-inf")
-    theta = max(theta, threshold)
-
-    ubs = np.array([x[3] for x in by_ub])
-    suffix = np.concatenate((np.cumsum(ubs[::-1])[::-1], [0.0]))
-    j = len(by_ub)
-    for i in range(1, len(by_ub) + 1):
-        if suffix[i] < theta:
-            j = i
-            break
-    cand = np.unique(np.concatenate([x[1].doc_ids for x in by_ub[:j]]))
-    if len(cand) < k:  # not enough candidates → no pruning possible
+    infos, theta, cand = _maxscore_candidates(term_map, terms, n_docs, k,
+                                              threshold, idf_fn)
+    if cand is None:  # not enough candidates → no pruning possible
         return _score_disjunctive(term_map, terms, n_docs, idf_fn)
 
     # per-candidate upper bound, ascending-term order (= rescore order).
@@ -350,16 +345,8 @@ def _topk_disjunctive_blockmax(
         ub_t = np.zeros(len(cand), np.float64)
         ub_t[ok] = t_idf * p.block_max_weight[blk[ok]]
         bound += ub_t
-    keep = bound >= theta
-    cand = cand[keep]
-
-    scores = np.zeros(len(cand), np.float64)
-    for t, p, t_idf, _ in infos:  # ascending term order → canonical sums
-        idx = np.searchsorted(p.doc_ids, cand)
-        ok = idx < len(p.doc_ids)
-        ok[ok] = p.doc_ids[idx[ok]] == cand[ok]
-        scores[ok] += t_idf * p.weights[idx[ok]]
-    return cand, scores
+    cand = cand[bound >= theta]
+    return cand, _rescore(infos, cand)
 
 
 def _score_conjunctive(

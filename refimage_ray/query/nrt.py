@@ -5,31 +5,37 @@ searchable IMMEDIATELY (no rebuild, no artifact write) by holding
 their postings in process memory and merging them with the base
 index's postings *at query time, with merged global statistics* —
 N, avgdl, df and every per-posting weight are recomputed over
-base ∪ buffer, so a DeltaSearcher's results are **bit-identical** to a
-full rebuild over the union corpus (asserted in tests/test_nrt.py).
+base ∪ buffer, so results are **bit-identical** to a full rebuild over
+the union corpus (asserted in tests/test_nrt.py).
 
 Reference analog: the reference adds one vector at a time straight
 into the resident FAISS index (`/root/reference/src/refimage/search/
 __init__.py:243-261` index.add) — NRT-by-construction but with no
 persistence story.  Here the persistent artifact stays immutable and
-the buffer is explicitly flushed through the incremental-add lifecycle
-(``index/lifecycle.add_documents``) when it grows past serving size.
+the buffer is explicitly flushed through the layout's incremental-add
+lifecycle when it grows past serving size.
+
+One core serves both layouts.  :class:`_PostingBuffer` holds the
+buffered postings per doc shard; :func:`_merged_postings` is the one
+place a term's base and buffered postings are merged and reweighted;
+:class:`_MergedView` memoizes them per buffer generation, as
+:class:`DeltaSearcher` itself and as each doc shard of
+:class:`DocPartDeltaSearcher`; :class:`_NRTBuffer` is the buffer
+lifecycle.  The layouts differ only in the df basis, in whether dense
+ranks are attached, in the lifecycle ``flush`` persists through, and
+in the docpart operators that need a flush first (``_NEEDS_FLUSH``).
 
 Scale note: the buffer is a *serving-side* structure (thousands of
-docs, not the corpus).  An ``add`` costs O(batch): the batch is
-tokenized once and each of its terms gets the batch's posting run
-appended as one more chunk (:class:`_PostingBuffer`) — no buffered
-posting list is touched.  A term's chunks merge lazily, the first time
-a query needs the term, and the merged arrays replace the chunks, so
-only queried terms pay a merge, once per change.  Each query then
-recomputes weights only for ITS terms' postings — O(query posting
-mass), the same order as scoring — and memoizes them until the next
-add; the memo is generation-checked, so a read that overlaps an add
-never stores weights computed under the old N/avgdl.  Buffered
-metadata is a doc_id → row map, so a hit's metadata join costs
-O(hits).  Filters/facets/order_by need the rank-aligned doc-value
-machinery of a built artifact and therefore require a flush first
-(loud error).
+docs, not the corpus).  An ``add`` costs O(batch) and touches no
+buffered posting list; a term's chunks merge the first time a query
+needs the term.  Each query recomputes weights only for ITS terms'
+postings — O(query posting mass), the same order as scoring — and
+memoizes them until the next add; the memo is generation-checked, so
+a read that overlaps an add never stores weights computed under the
+old N/avgdl.  Buffered metadata is a doc_id → row map, so a hit's
+metadata join costs O(hits).  Filters/facets/order_by need the
+rank-aligned doc values of a built artifact and therefore require a
+flush first (loud error).
 """
 
 from __future__ import annotations
@@ -281,98 +287,154 @@ def _merge_sorted_disjoint(a_key, b_key, a_payloads, b_payloads):
     return key, outs
 
 
-class DeltaSearcher(_SearcherBase):
-    """Search base ∪ buffer with exact merged statistics."""
-
-    def __init__(self, index_dir: str, base: "LocalSearcher | None" = None):
-        self.base = base if base is not None else LocalSearcher(index_dir)
-        if self.base.index_dir != index_dir:
-            raise ValueError("base searcher was loaded from a different dir")
-        man = load_manifest(index_dir)
-        stats = man["stats"]
-        self.index_dir = index_dir
-        self._base_n = int(stats["n_docs"])
-        self._base_sum_dl = int(stats["sum_dl"])
-        self._k1 = float(stats.get("k1", 1.2))
-        self._b = float(stats.get("b", 0.75))
-        self.token_pattern = man["config"].get("token_pattern")
-        self.term_filter = man["config"].get("term_filter", "none")
-        from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
-
-        self._cfg = (
-            EngineConfig(
-                **({"token_pattern": self.token_pattern}
-                   if self.token_pattern else {}),
-                term_filter=self.term_filter,
+def _merged_postings(t: str, bp, bb, df, avgdl: float, k1: float, b: float,
+                     universe=None) -> "TermPostings | None":
+    """Term ``t``'s base postings ``bp`` (a TermPostings or None) merged
+    with its buffered ``bb`` = (ids, tfs, dls) (or None) and reweighted
+    under the merged avgdl: the one place either NRT layout builds a
+    term's postings.  ``df`` is the idf basis (None: the merged list's
+    length); ``universe`` (sorted doc ids) attaches dense ranks.  None
+    when neither side holds the term."""
+    if bp is not None and bp.df > 0:
+        if bp.dls is None:
+            raise ValueError(
+                "NRT merge needs per-posting doc lengths; rebuild "
+                f"the base artifact (dls missing for term {t!r})"
             )
-            if self.token_pattern or self.term_filter != "none"
-            else DEFAULT_CONFIG
-        )
-        # base universe for disjointness checks (narrow read; the dense
-        # LocalSearcher already holds it)
-        if self.base.all_ids is not None:
-            self._base_ids = self.base.all_ids
-        else:
-            from refimage_ray.index.reader import load_doc_universe
+    else:
+        bp = None
+    if bp is None and bb is None:
+        return None
+    if bp is None:
+        ids, tfs, dls = bb
+    elif bb is None:
+        ids, tfs, dls = bp.doc_ids, bp.tfs, bp.dls
+    else:
+        # both sides arrive doc_id-sorted and disjoint: linear two-way
+        # merge via searchsorted ranks (no argsort of the merged stream)
+        ids, (tfs, dls) = _merge_sorted_disjoint(
+            bp.doc_ids, bb[0], (bp.tfs, bp.dls), bb[1:])
+    w = bm25_weight(tfs.astype(np.float64), dls.astype(np.float64),
+                    avgdl, k1, b)
+    mx = float(w.max()) if len(w) else 0.0
+    tp = TermPostings(
+        df=len(ids) if df is None else df,
+        doc_ids=ids,
+        weights=w,
+        tfs=tfs,
+        max_weight=mx,
+        block_last_doc=ids[-1:].copy(),
+        block_max_weight=np.array([mx], np.float64),
+        dls=dls,
+    )
+    if universe is not None:
+        tp.ranks = np.searchsorted(universe, ids).astype(
+            np.int32 if len(universe) < 2**31 else np.int64)
+    return tp
 
-            self._base_ids = load_doc_universe(index_dir)
-        self._buf = _PostingBuffer(self._cfg)
-        # merged-postings memo: global stats (N, avgdl) only move on
-        # add()/flush(), so a term's merged+reweighted postings are
-        # immutable between buffer mutations — rebuild-per-query was
-        # the NRT p95 gap (concat + sort + full weight recompute over
-        # the BASE posting mass each query).  LRU-bounded (the queried
-        # vocabulary can be adversarially large between mutations);
-        # cleared on every buffer mutation.
+
+class _MergedView(_SearcherBase):
+    """Base postings ∪ buffer shard ``_gkey``, reweighted under the
+    merged N/avgdl of ``_owner`` (the :class:`_NRTBuffer`).  On the
+    docpart layout ``_global_df`` is the idf basis: a shard's list is a
+    slice, so its length is not the df."""
+
+    _gkey = 0
+    _global_df: "dict | None" = None
+
+    def _init_view(self, base, base_terms: dict) -> None:
+        """Analyze queries like ``base``; ``base_terms`` maps a term to
+        its base TermPostings."""
+        self.token_pattern, self.term_filter = base.token_pattern, base.term_filter
+        self._base_terms = base_terms
         self._tm_cache = _LRUTermMemo()
-        # dense-TAAT rank universe over base ∪ buffer: rebuilt once
-        # per buffer MUTATION (linear merge of two sorted disjoint id
-        # arrays), and per-term ranks attach lazily in the per-gen
-        # _term_map memo — so queries between adds run the same dense
-        # scoring path as the base searcher.
-        self._rebuild_universe()
-        self._refresh_stats()
-
-    # ------------------------------------------------------------------
-
-    def _rebuild_universe(self) -> None:
-        base = self.base.all_ids
-        if base is None:
-            self.all_ids = None
-            return
-        b = self._buf.ids
-        if not len(b):
-            self.all_ids = base
-            return
-        self.all_ids, _ = _merge_sorted_disjoint(base, b, (), ())
 
     def doc_values(self, columns):
-        # the artifact's doc-value files are rank-aligned to the BASE
-        # universe; against the merged universe they would silently
-        # misalign — keep the pre-dense loud error
+        # the artifact's doc values are rank-aligned to the BASE
+        # universe; against the merged one they would misalign
         raise ValueError(
             "doc-value filters/facets need a built artifact covering "
             "the buffered docs; flush() first"
         )
+
+    def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
+        # one consistent snapshot: an add() that lands mid-read bumps
+        # the memo generation, so what this read computed is returned
+        # but never memoized
+        owner, memo, gdf = self._owner, self._tm_cache, self._global_df
+        gen = memo.gen
+        buf, avgdl, universe = owner._buf, owner.avgdl, self.all_ids
+        out: dict[str, TermPostings] = {}
+        for t in terms:
+            tp = memo.get(t)
+            if tp is None:
+                tp = _merged_postings(
+                    t, self._base_terms.get(t), buf.postings(t, self._gkey),
+                    None if gdf is None else gdf.get(t, 0) + buf.df(t),
+                    avgdl, owner._k1, owner._b, universe,
+                )
+                if tp is None:
+                    continue
+                memo.put(t, tp, gen)
+            out[t] = tp
+        return out
+
+
+class _NRTBuffer:
+    """The buffer lifecycle both NRT searchers share.  A layout
+    supplies ``_load_base_ids`` (sorted base doc ids), ``_shards_of``
+    (doc shards of buffered ids; None: one shard), ``_merged_views``
+    and ``_persist`` (its incremental-add lifecycle)."""
+
+    _base_ids: "np.ndarray | None" = None
+
+    def _init_nrt(self, index_dir: str, base, man: dict,
+                  buf_shards: int = 1) -> None:
+        if base.index_dir != index_dir:
+            raise ValueError("base searcher was loaded from a different dir")
+        from refimage_ray.config import engine_config_from_manifest
+
+        st = man["stats"]
+        self.base, self.index_dir = base, index_dir
+        self._base_n = int(st["n_docs"])
+        self._base_sum_dl = int(st["sum_dl"])
+        self._k1 = float(st.get("k1", 1.2))
+        self._b = float(st.get("b", 0.75))
+        self._cfg = engine_config_from_manifest(man.get("config", {}))
+        self._buf_shards = buf_shards
+        self._buf = _PostingBuffer(self._cfg, buf_shards)
+        self._refresh_stats()
 
     def _refresh_stats(self) -> None:
         self.n_docs = self._base_n + len(self._buf.ids)
         total = self._base_sum_dl + self._buf.sum_dl
         self.avgdl = total / self.n_docs if self.n_docs else 1.0
 
+    def _mutated(self) -> None:
+        """Publish a buffer change: the merged stats move first, then
+        every view's term memo is cleared (advancing its generation)."""
+        self._refresh_stats()
+        for view in self._merged_views():
+            view._tm_cache.clear()
+
+    def _base_universe(self) -> np.ndarray:
+        if self._base_ids is None:
+            self._base_ids = self._load_base_ids()
+        return self._base_ids
+
     def add(self, docs: pa.Table) -> int:
         """Buffer (doc_id, text) rows; they are searchable on return.
-        Doc ids must be new (not in the base artifact or the buffer).
+        Doc ids must be new — checked against the buffer AND the base
+        artifact's doc universe (a duplicate id would collide the
+        disjoint merge's output slots → duplicate hits with garbage
+        scores).
 
         Costs O(batch), not O(buffer): the batch's postings are
         appended per term as chunks (:class:`_PostingBuffer`), its
-        metadata rows go into a doc_id map, and the term memo is
-        cleared (advancing its generation) after the merged stats
-        move."""
-        n = self._buf.add(docs, self._base_ids)
-        self._rebuild_universe()
-        self._refresh_stats()
-        self._tm_cache.clear()  # N/avgdl moved: every weight is stale
+        metadata rows go into a doc_id map, and the term memos are
+        cleared after the merged stats move."""
+        n = self._buf.add(docs, self._base_universe(), self._shards_of)
+        self._mutated()
         return n
 
     @property
@@ -386,89 +448,70 @@ class DeltaSearcher(_SearcherBase):
         return self._buf.rows(ids)
 
     def flush(self, out_dir: str, cfg=None) -> str:
-        """Persist the buffer through the incremental-add lifecycle
-        (delta build + shard merge) and clear it.  Returns ``out_dir``
-        — reload a DeltaSearcher from there to continue."""
+        """Persist the buffer through the layout's incremental-add
+        lifecycle (delta build + shard merge) and clear it.  Returns
+        ``out_dir`` — reload a searcher from there to continue."""
         if not self._buf.tables:
             raise ValueError("nothing buffered")
         import ray.data as rd
 
+        self._persist(rd.from_arrow(pa.concat_tables(
+            self._buf.tables, promote_options="default")), out_dir, cfg)
+        self._buf = _PostingBuffer(self._cfg, self._buf_shards)
+        self._mutated()
+        return out_dir
+
+
+class DeltaSearcher(_NRTBuffer, _MergedView):
+    """Search base ∪ buffer with exact merged statistics, on the term
+    layout: one buffer shard, and dense ranks over the merged doc
+    universe."""
+
+    _shards_of = None
+
+    def __init__(self, index_dir: str, base: "LocalSearcher | None" = None):
+        base = base if base is not None else LocalSearcher(index_dir)
+        man = load_manifest(index_dir)
+        self._init_nrt(index_dir, base, man)
+        self._init_view(base, base.terms)
+        # dense-TAAT rank universe over base ∪ buffer: rebuilt once
+        # per buffer MUTATION (linear merge of two sorted disjoint id
+        # arrays), and per-term ranks attach in the memo — so queries
+        # between adds run the same dense scoring path as the base
+        self._rebuild_universe()
+
+    @property
+    def _owner(self) -> "DeltaSearcher":
+        return self
+
+    def _merged_views(self):
+        return (self,)
+
+    def _load_base_ids(self) -> np.ndarray:
+        # narrow read; the dense LocalSearcher already holds it
+        if self.base.all_ids is not None:
+            return self.base.all_ids
+        from refimage_ray.index.reader import load_doc_universe
+
+        return load_doc_universe(self.index_dir)
+
+    def _rebuild_universe(self) -> None:
+        base, b = self.base.all_ids, self._buf.ids
+        if base is None or not len(b):
+            self.all_ids = base
+        else:
+            self.all_ids, _ = _merge_sorted_disjoint(base, b, (), ())
+
+    def _mutated(self) -> None:
+        self._rebuild_universe()
+        super()._mutated()
+
+    def _persist(self, ds, out_dir: str, cfg) -> None:
         from refimage_ray.config import DEFAULT_CONFIG
         from refimage_ray.index.lifecycle import add_documents
 
-        add_documents(
-            self.index_dir,
-            rd.from_arrow(pa.concat_tables(self._buf.tables, promote_options="default")),
-            out_dir,
-            cfg if cfg is not None else DEFAULT_CONFIG,
-        )
-        self._buf = _PostingBuffer(self._cfg)
-        self._rebuild_universe()
-        self._refresh_stats()
-        self._tm_cache.clear()
-        return out_dir
-
-    # ------------------------------------------------------------------
-
-    def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
-        # one consistent snapshot: an add() that lands mid-read bumps
-        # the memo generation, so what this read computed is returned
-        # but never memoized
-        memo = self._tm_cache
-        gen = memo.gen
-        buf, avgdl, all_ids = self._buf, self.avgdl, self.all_ids
-        out: dict[str, TermPostings] = {}
-        for t in terms:
-            hit = memo.get(t)
-            if hit is not None:
-                out[t] = hit
-                continue
-            bp = self.base.terms.get(t)
-            bb = buf.postings(t)
-            if bp is not None and bp.df > 0:
-                if bp.dls is None:
-                    raise ValueError(
-                        "NRT merge needs per-posting doc lengths; rebuild "
-                        "the base artifact (dls missing for term "
-                        f"{t!r})"
-                    )
-            else:
-                bp = None
-            if bp is None and bb is None:
-                continue
-            if bp is None:
-                ids, tfs, dls = bb
-            elif bb is None:
-                ids, tfs, dls = bp.doc_ids, bp.tfs, bp.dls
-            else:
-                # both sides arrive doc_id-sorted and disjoint: linear
-                # two-way merge via searchsorted ranks (no argsort of
-                # the full merged stream)
-                ids, (tfs, dls) = _merge_sorted_disjoint(
-                    bp.doc_ids, bb[0], (bp.tfs, bp.dls), bb[1:])
-            w = bm25_weight(
-                tfs.astype(np.float64), dls.astype(np.float64),
-                avgdl, self._k1, self._b,
-            )
-            mx = float(w.max()) if len(w) else 0.0
-            tp = TermPostings(
-                df=len(ids),
-                doc_ids=ids,
-                weights=w,
-                tfs=tfs,
-                max_weight=mx,
-                block_last_doc=ids[-1:].copy(),
-                block_max_weight=np.array([mx], np.float64),
-                dls=dls,
-            )
-            if all_ids is not None:
-                r = np.searchsorted(all_ids, ids)
-                tp.ranks = r.astype(
-                    np.int32 if len(all_ids) < 2**31 else np.int64
-                )
-            memo.put(t, tp, gen)
-            out[t] = tp
-        return out
+        add_documents(self.index_dir, ds, out_dir,
+                      cfg if cfg is not None else DEFAULT_CONFIG)
 
     def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
         # expansion probes must see buffered vocabulary too; merge the
@@ -490,22 +533,15 @@ class DeltaSearcher(_SearcherBase):
         return sorted(base_pairs.items())
 
 
-class _DeltaShardWrap(_SearcherBase):
-    """One doc shard under merged NRT stats: query-term postings are
-    the shard's stored (ids, tfs, dls) merged with the shard's slice
-    of the buffer, REWEIGHTED under the union's N/avgdl — the same
-    per-(term, generation) memo discipline as :class:`DeltaSearcher`.
-    Sparse scoring (no rank universe); doc values refuse like the term
-    NRT (the shard's values don't cover buffered docs)."""
+class _DeltaShardWrap(_MergedView):
+    """One doc shard under merged NRT stats: the shard's stored
+    postings merged with its slice of the buffer.  Sparse scoring (no
+    rank universe)."""
 
     def __init__(self, owner: "DocPartDeltaSearcher", inner, gkey: int):
-        self._owner = owner
-        self._inner = inner
-        self._gkey = gkey
-        self.token_pattern = inner.token_pattern
-        self.term_filter = inner.term_filter
-        self.all_ids = None
-        self._cache = _LRUTermMemo()
+        self._init_view(inner, inner._tm)
+        self._owner, self._gkey = owner, gkey
+        self._global_df = owner.base._global_df
 
     # merged stats live on the owner (one refresh per add/flush)
     @property
@@ -516,60 +552,8 @@ class _DeltaShardWrap(_SearcherBase):
     def avgdl(self) -> float:
         return self._owner.avgdl
 
-    def doc_values(self, columns):
-        raise ValueError(
-            "doc-value filters/facets need a built artifact covering "
-            "the buffered docs; flush() first"
-        )
 
-    def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
-        # same generation-checked snapshot as DeltaSearcher._term_map
-        owner = self._owner
-        memo = self._cache
-        gen = memo.gen
-        buf, avgdl = owner._buf, owner.avgdl
-        out: dict[str, TermPostings] = {}
-        for t in terms:
-            hit = memo.get(t)
-            if hit is not None:
-                out[t] = hit
-                continue
-            bp = self._inner._tm.get(t)
-            if bp is not None and bp.df == 0:
-                bp = None
-            bb = buf.postings(t, self._gkey)
-            if bp is None and bb is None:
-                continue
-            if bp is None:
-                ids, tfs, dls = bb
-            elif bb is None:
-                ids, tfs, dls = bp.doc_ids, bp.tfs, bp.dls
-            else:
-                ids, (tfs, dls) = _merge_sorted_disjoint(
-                    bp.doc_ids, bb[0], (bp.tfs, bp.dls), bb[1:])
-            w = bm25_weight(
-                tfs.astype(np.float64), dls.astype(np.float64),
-                avgdl, owner._k1, owner._b,
-            )
-            mx = float(w.max()) if len(w) else 0.0
-            # idf basis: the UNION-GLOBAL df from the artifact's
-            # global terms table + the buffer — NOT bp.df: a buffered
-            # doc can land in a shard that holds no base postings for
-            # the term, yet the term exists in other base shards
-            gdf = owner._base_global_df.get(t, 0) + buf.df(t)
-            tp = TermPostings(
-                df=gdf, doc_ids=ids, weights=w,
-                tfs=tfs.astype(np.int64), max_weight=mx,
-                block_last_doc=ids[-1:].copy(),
-                block_max_weight=np.array([mx], np.float64),
-                dls=dls.astype(np.int64),
-            )
-            memo.put(t, tp, gen)
-            out[t] = tp
-        return out
-
-
-class DocPartDeltaSearcher(_DocPartCoordinator):
+class DocPartDeltaSearcher(_NRTBuffer, _DocPartCoordinator):
     """NRT over the DOC-PARTITIONED layout (the serving-default
     scatter): buffered (doc_id, text) rows route to their hash shard,
     each shard evaluates base∪buffer under the MERGED global stats,
@@ -578,92 +562,50 @@ class DocPartDeltaSearcher(_DocPartCoordinator):
     bit-identical to a full doc-partitioned rebuild over the union
     AND to the term layout's :class:`DeltaSearcher` (asserted in
     tests).  Same contract as DeltaSearcher: new doc_ids only;
-    filters/facets need a flush; ``flush`` persists through the
-    docpart incremental-add lifecycle."""
+    filters/facets need a flush, and so do the operators in
+    ``_NEEDS_FLUSH``; ``flush`` persists through the docpart
+    incremental-add lifecycle.
+
+    A buffered doc whose hash shard wrote NO base file would need a
+    fresh empty shard view; that only happens on pathological
+    many-shards-few-docs layouts, so its add raises loudly instead."""
 
     def __init__(self, index_dir: str, base=None) -> None:
-        self.base = base if base is not None else DocPartSearcher(index_dir)
-        if self.base.index_dir != index_dir:
-            raise ValueError("base searcher was loaded from a different dir")
-        self.index_dir = index_dir
-        man = self.base.manifest
-        st = man["stats"]
-        self.manifest = man
-        self._base_n = int(st["n_docs"])
-        self._base_sum_dl = int(st["sum_dl"])
-        self._k1 = float(st.get("k1", 1.2))
-        self._b = float(st.get("b", 0.75))
-        self._num_doc_shards = int(man["num_doc_shards"])
-        cfgd = man.get("config", {})
-        from refimage_ray.config import engine_config_from_manifest
-
-        self._cfg = engine_config_from_manifest(cfgd)
+        base = base if base is not None else DocPartSearcher(index_dir)
+        self.manifest = man = base.manifest
+        self._init_nrt(index_dir, base, man, int(man["num_doc_shards"]))
         # file order == DocPartSearcher.shards order; gkey parses from
         # the filename (empty shards write no file)
         self._shard_gkeys = [
             int(f.split("-")[1].split(".")[0])
             for f in man["docshard_files"]
         ]
-        # buffered postings keyed by doc shard; its df is the per-term
-        # GLOBAL buffered df (idf basis): shard postings are slices,
-        # but TermPostings.df must be the UNION-global df — base global
-        # df (terms/ table) + buffered docs with the term
-        self._buf = _PostingBuffer(self._cfg, self._num_doc_shards)
-        self._base_global_df: dict = self.base._global_df
-        self._base_ids: "np.ndarray | None" = None  # lazy universe
         self.shards = [
             _DeltaShardWrap(self, v, g)
-            for v, g in zip(self.base.shards, self._shard_gkeys)
+            for v, g in zip(base.shards, self._shard_gkeys)
         ]
         self._group = _ShardGroup.of(self.shards)
-        self._refresh_stats()
 
-    def _refresh_stats(self) -> None:
-        self.n_docs = self._base_n + len(self._buf.ids)
-        total = self._base_sum_dl + self._buf.sum_dl
-        self.avgdl = total / self.n_docs if self.n_docs else 1.0
+    def _merged_views(self):
+        return self.shards
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buf.ids)
-
-    def _base_universe(self) -> np.ndarray:
-        """Sorted base doc ids, built lazily ONCE: per shard the
-        docvalues universe when present, else the union of the shard's
-        posting doc_ids (membership basis = docs with ≥1 posting — a
-        fully-empty doc can't collide in scoring, only in metadata)."""
-        if self._base_ids is None:
-            parts = []
-            for v in self.base.shards:
-                if v.all_ids is not None:
-                    parts.append(v.all_ids)
-                elif v._tm:
-                    parts.append(np.unique(np.concatenate(
-                        [p.doc_ids for p in v._tm.values()])))
-            self._base_ids = (
-                np.unique(np.concatenate(parts)) if parts
-                else np.zeros(0, np.int64)
-            )
-        return self._base_ids
-
-    def add(self, docs: pa.Table) -> int:
-        """Buffer rows; searchable on return, at O(batch) cost (see
-        :class:`_PostingBuffer`).  Doc ids must be new — checked
-        against the buffer AND the base artifact's doc universe (a
-        duplicate id would collide the disjoint-merge's output slots →
-        duplicate hits with garbage scores).
-
-        A buffered doc whose hash shard wrote NO base file would need
-        a fresh empty shard view; that only happens on pathological
-        many-shards-few-docs layouts, so it raises loudly instead."""
-        n = self._buf.add(docs, self._base_universe(), self._shards_of)
-        self._refresh_stats()
-        for sh in self.shards:
-            sh._cache.clear()
-        return n
+    def _load_base_ids(self) -> np.ndarray:
+        """Sorted base doc ids: per shard the docvalues universe when
+        present, else the union of the shard's posting doc_ids
+        (membership basis = docs with ≥1 posting — a fully-empty doc
+        can't collide in scoring, only in metadata)."""
+        parts = []
+        for v in self.base.shards:
+            if v.all_ids is not None:
+                parts.append(v.all_ids)
+            elif v._tm:
+                parts.append(np.unique(np.concatenate(
+                    [p.doc_ids for p in v._tm.values()])))
+        return (np.unique(np.concatenate(parts)) if parts
+                else np.zeros(0, np.int64))
 
     def _shards_of(self, ids: np.ndarray) -> np.ndarray:
-        gk = _doc_shard_of(ids, self._num_doc_shards)
+        gk = _doc_shard_of(ids, self._buf_shards)
         missing = set(np.unique(gk).tolist()) - set(self._shard_gkeys)
         if missing:
             raise ValueError(
@@ -673,98 +615,52 @@ class DocPartDeltaSearcher(_DocPartCoordinator):
             )
         return gk
 
-    def lookup_buffered(self, ids: list[int]) -> list[dict]:
-        """Same contract as :meth:`DeltaSearcher.lookup_buffered`."""
-        return self._buf.rows(ids)
-
-    def flush(self, out_dir: str, cfg=None) -> str:
-        """Persist through the docpart incremental-add lifecycle and
-        clear the buffer."""
-        if not self._buf.tables:
-            raise ValueError("nothing buffered")
-        import ray.data as rd
-
+    def _persist(self, ds, out_dir: str, cfg) -> None:
+        # the base manifest fixes the docpart geometry; cfg is not used
         from refimage_ray.index.docpart_lifecycle import (
             add_documents_docpart,
         )
 
-        add_documents_docpart(
-            self.index_dir,
-            rd.from_arrow(pa.concat_tables(
-                self._buf.tables, promote_options="default")),
-            out_dir,
-        )
-        self._buf = _PostingBuffer(self._cfg, self._num_doc_shards)
-        self._refresh_stats()
-        for sh in self.shards:
-            sh._cache.clear()
-        return out_dir
+        add_documents_docpart(self.index_dir, ds, out_dir)
 
-    # --- scatter surface: the docpart coordinator over the wraps ---
-
-    def search(self, query, k=None, threshold=None, mode="or",
-               cfg=None, where=None, offset: int = 0,
-               min_match=None, after=None, boost=None, order_by=None):
-        from refimage_ray.config import DEFAULT_CONFIG
-
-        if order_by is not None:
-            raise ValueError(
-                "order_by needs doc values over the buffered docs; "
-                "flush() first"
-            )
-        return super().search(
-            query, k, threshold, mode,
-            DEFAULT_CONFIG if cfg is None else cfg, where, offset,
-            min_match, after, boost,
+    def _search_ordered(self, *a):
+        raise ValueError(
+            "order_by needs doc values over the buffered docs; "
+            "flush() first"
         )
 
-    def _needs_flush(self, what: str):
+
+#: DocPartDeltaSearcher operators that read positions or the
+#: vocabulary, which only a built artifact holds → the name their
+#: refusal gives.  Each raises a ValueError (a 422 on serve, not an
+#: AttributeError 500) until the buffer is flushed.
+_NEEDS_FLUSH = {
+    "search_phrase": "phrase",
+    "search_near": "NEAR",
+    "search_prefix": "prefix",
+    "search_fuzzy": "fuzzy",
+    "search_wildcard": "wildcard",
+    "search_regex": "regex",
+    "search_phrase_prefix": "phrase_prefix",
+    "search_rescore": "rescore",
+    "search_many": "batch (search_many)",
+    "suggest": "suggest",
+    "_expand_pairs": "vocabulary-browse (/terms)",
+    "facets": "facet",
+    "composite": "composite-paging",
+    "search_grouped": "grouped",
+}
+
+
+def _refusal(what: str):
+    def refuse(self, *a, **k):
         raise ValueError(
             f"{what} queries over the docpart NRT buffer need a "
             "flush() first (positions/vocabulary structures are "
             "artifact-side)"
         )
+    return refuse
 
-    # loud, structured refusals (not AttributeError 500s) for the
-    # search-family surfaces the buffer can't answer exactly yet
-    def search_phrase(self, *a, **k):
-        self._needs_flush("phrase")
 
-    def search_near(self, *a, **k):
-        self._needs_flush("NEAR")
-
-    def search_prefix(self, *a, **k):
-        self._needs_flush("prefix")
-
-    def search_fuzzy(self, *a, **k):
-        self._needs_flush("fuzzy")
-
-    def search_wildcard(self, *a, **k):
-        self._needs_flush("wildcard")
-
-    def search_regex(self, *a, **k):
-        self._needs_flush("regex")
-
-    def search_phrase_prefix(self, *a, **k):
-        self._needs_flush("phrase_prefix")
-
-    def search_rescore(self, *a, **k):
-        self._needs_flush("rescore")
-
-    def search_many(self, *a, **k):
-        self._needs_flush("batch (search_many)")
-
-    def suggest(self, *a, **k):
-        self._needs_flush("suggest")
-
-    def _expand_pairs(self, *a, **k):
-        self._needs_flush("vocabulary-browse (/terms)")
-
-    def facets(self, *a, **k):
-        self._needs_flush("facet")
-
-    def composite(self, *a, **k):
-        self._needs_flush("composite-paging")
-
-    def search_grouped(self, *a, **k):
-        self._needs_flush("grouped")
+for _op, _what in _NEEDS_FLUSH.items():
+    setattr(DocPartDeltaSearcher, _op, _refusal(_what))

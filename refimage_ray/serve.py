@@ -988,7 +988,7 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
                                    pa.int64()),
                 "text": pa.array([str(r["text"]) for r in rows], pa.string()),
             })
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"bad docs payload: {err}") from None
         # construct+add+swap under one lock: two concurrent first adds
         # on separate request workers could each build a fresh delta

@@ -81,6 +81,22 @@ def test_parse_empty_raises(parser):
         parser.parse("x AND ")
 
 
+def test_operand_without_tokens_is_refused():
+    """Under the searcher's tokenizer, a text operand with no tokens
+    adds no leaf: alone it is refused, beside another leaf it drops."""
+    import re
+
+    from refimage_ray.functions.text import tokenize
+
+    p = DSLParser(tokenize)
+    for q, op in (("((", "(("), ("data AND ((", "(("), ("!! OR data", "!!")):
+        with pytest.raises(DSLParseError, match=re.escape(
+                f"no terms or tags in operand: '{op}'")):
+            p.parse(q)
+    assert p.parse('"big data" ((') == p.parse('"big data"')
+    assert p.parse("(data)") == TextQuery("(data)")
+
+
 # ---- execution: membership conformance (reference set semantics) ----
 
 @pytest.fixture(scope="module")

@@ -232,6 +232,89 @@ def test_docpart_nrt_guards(docpart_nrt_setup):
         d.search("data", k=5, where=[("lang", "=", "en")])
 
 
+# every operator DocPartDeltaSearcher refuses while docs are buffered:
+# (operator, the name its refusal gives, arguments, the serve request
+# that reaches it — None when no route does)
+NEEDS_FLUSH = [
+    ("search_phrase", "phrase", ("the data",), "/search?q=the+data&mode=phrase"),
+    ("search_near", "NEAR", ("the data",), "/search?q=the+data&mode=near"),
+    ("search_prefix", "prefix", ("da",), "/search?q=da&mode=prefix"),
+    ("search_fuzzy", "fuzzy", ("data",), "/search?q=data&mode=fuzzy"),
+    ("search_wildcard", "wildcard", ("da*a",), "/search?q=da*a&mode=wildcard"),
+    ("search_regex", "regex", ("da.a",), "/search?q=da.a&mode=regex"),
+    ("search_phrase_prefix", "phrase_prefix", ("the da",),
+     "/search?q=the+da&mode=phrase_prefix"),
+    ("search_rescore", "rescore", ("the data",),
+     "/search?q=the+data&rescore_window=10"),
+    ("search_many", "batch (search_many)", (["the data"],), None),
+    ("suggest", "suggest", ("dat",), "/suggest?q=dat"),
+    ("_expand_pairs", "vocabulary-browse (/terms)", ("prefix", "da"),
+     "/terms?prefix=da"),
+    ("facets", "facet", ("data",), "/facets?q=data&by=lang"),
+    ("composite", "composite-paging", ("data",), "/composite?q=data&by=lang"),
+    ("search_grouped", "grouped", ("data",), "/grouped?q=data&by=lang"),
+]
+
+
+def _needs_flush_text(what: str) -> str:
+    return (f"{what} queries over the docpart NRT buffer need a flush() "
+            "first (positions/vocabulary structures are artifact-side)")
+
+
+@pytest.mark.parametrize("op,what,args,_req", NEEDS_FLUSH,
+                         ids=[r[0] for r in NEEDS_FLUSH])
+def test_docpart_nrt_refuses_until_flush(docpart_nrt_setup, op, what, args,
+                                         _req):
+    from refimage_ray.query.nrt import DocPartDeltaSearcher
+
+    base_dir, _, _, _, b = docpart_nrt_setup
+    d = DocPartDeltaSearcher(base_dir)
+    d.add(b.slice(0, 3))
+    with pytest.raises(ValueError, match="flush") as err:
+        getattr(d, op)(*args)
+    assert str(err.value) == _needs_flush_text(what)
+
+
+@pytest.fixture(scope="module")
+def docpart_nrt_server(docpart_nrt_setup):
+    """A server over the doc-partitioned base with docs buffered by
+    ``POST /docs``."""
+    import json
+    import threading
+    import urllib.request
+
+    from refimage_ray.serve import make_server
+
+    base_dir, _, _, _, b = docpart_nrt_setup
+    srv = make_server(base_dir, port=0)
+    t = threading.Thread(target=srv.serve_forever, daemon=True)
+    t.start()
+    url = f"http://127.0.0.1:{srv.server_address[1]}"
+    docs = b.slice(0, 3).select(["doc_id", "text"]).to_pylist()
+    req = urllib.request.Request(
+        url + "/docs", data=json.dumps({"docs": docs}).encode(),
+        method="POST", headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=60) as r:
+        assert json.loads(r.read())["buffered"] == 3
+    yield url
+    srv.shutdown()
+    srv.server_close()
+    t.join(timeout=30)
+
+
+@pytest.mark.parametrize("what,req", [(w, r) for _, w, _, r in NEEDS_FLUSH if r],
+                         ids=[r[0] for r in NEEDS_FLUSH if r[3]])
+def test_docpart_nrt_route_refuses_until_flush(docpart_nrt_server, what, req):
+    import json
+    import urllib.error
+    import urllib.request
+
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(docpart_nrt_server + req, timeout=60)
+    assert err.value.code == 422
+    assert json.loads(err.value.read()) == {"error": _needs_flush_text(what)}
+
+
 def test_docpart_nrt_flush_then_reload_matches(docpart_nrt_setup,
                                                tmp_path):
     from refimage_ray.index.docpart import DocPartSearcher

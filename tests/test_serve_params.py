@@ -5,7 +5,9 @@ bound, so a negative size is refused with 422 ``bad parameter: …`` on
 every route, on both index layouts, instead of slicing the answer.
 ``count`` checks ``min_match`` as ``search`` does, and a request body
 that is not a JSON object, or whose text field is not a string, answers
-422 ``bad request: …``, not 500.
+422 ``bad request: …``, not 500.  So does a ``POST /docs`` doc_id
+outside int64 (``bad docs payload: …``) and a DSL operand that holds
+no terms (``((``).
 """
 
 from __future__ import annotations
@@ -166,3 +168,17 @@ BAD_BODIES = [
 def test_non_object_body_is_refused(layouts, method, path, body, refusal):
     st, got = _call(layouts["term"][0] + path, method, body)
     assert (st, got) == (422, {"error": f"bad request: {refusal}"})
+
+
+@pytest.mark.parametrize("doc_id", ["1e30", "1e999"])
+def test_add_with_doc_id_outside_int64_is_refused(layouts, doc_id):
+    body = f'{{"docs": [{{"doc_id": {doc_id}, "text": "a"}}]}}'.encode()
+    st, got = _call(layouts["term"][0] + "/docs", "POST", body)
+    assert st == 422 and got["error"].startswith("bad docs payload: "), got
+
+
+@pytest.mark.parametrize("layout", ["term", "docpart"])
+@pytest.mark.parametrize("path", ["/dsl?q=((", "/facets?dsl=(("])
+def test_dsl_operand_without_terms_is_refused(layouts, layout, path):
+    assert _call(layouts[layout][0] + path) == (
+        422, {"error": "no terms or tags in operand: '(('"})

@@ -3,7 +3,7 @@ definition (the index/query symmetry invariant, SURVEY.md §2.2 M5/M8)."""
 
 import pyarrow as pa
 
-from refimage_ray.functions.text import is_blank, term_counts, tokenize
+from refimage_ray.functions.text import term_counts, tokenize
 from refimage_ray.stages.tokenize import (
     doc_lengths,
     doc_stats_batch,
@@ -24,11 +24,6 @@ def test_tokenize_python():
     ]
     assert tokenize("") == []
     assert tokenize("  \t ") == []
-
-
-def test_is_blank():
-    assert is_blank("") and is_blank("  ") and is_blank(None)
-    assert not is_blank("x")
 
 
 def test_batch_matches_python(tiny_pages):
