@@ -96,15 +96,6 @@ class EngineConfig:
     docid_partitions: int = 64    # D: url-hash partitions for dense-id assignment
     docid_stride: int = 1 << 32   # doc_id = part * stride + local_rank
 
-    # --- query defaults (reference analog: limit=50 default k and
-    # threshold in schemas.py:174,193) ---
-    default_k: int = 10
-    default_threshold: float = 0.0
-    # multi-term expansion cap (prefix/fuzzy queries): keep the N most
-    # frequent matches, deterministically (df desc, term asc) — the
-    # Lucene maxExpansions analog.  <=0 disables the cap.
-    max_expansions: int = 128
-
     def with_(self, **kw) -> "EngineConfig":
         return replace(self, **kw)
 

@@ -59,7 +59,7 @@ from refimage_ray.index.reader import (
     encode_term_runs,
     run_bounds,
 )
-from refimage_ray.query.scorer import bm25_weight
+from refimage_ray.query.scorer import bm25_weight, check_page, topk_select
 from refimage_ray.stages.tokenize import doc_stats_batch, tokenize_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -558,8 +558,6 @@ def _merge_topk(
     exact because doc shards are disjoint: each doc's full score comes
     from its one shard, so the global top-k is in the union of the
     per-shard top-ks."""
-    from refimage_ray.query.scorer import topk_select
-
     hits = [h for part in parts for h in part]
     if not hits:
         return []
@@ -707,16 +705,11 @@ class _DocPartCoordinator:
         return [r for part in self._scatter("each", op, args, kwargs)
                 for r in part]
 
-    def _topk(self, op: str, k, threshold, offset: int, cfg: EngineConfig,
+    def _topk(self, op: str, k, threshold, offset: int,
               *args, **kwargs) -> list[tuple[int, float]]:
         """A scoring operator's global page: each view returns its top
         (k+offset), and the page is cut from the merged union."""
-        from refimage_ray.query.engine import _check_offset
-
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        _check_offset(offset)
-        kk = k + offset
+        kk = check_page(k, offset)
         # k and threshold follow the operator's leading arguments in
         # every view signature (search, search_phrase, search_near)
         parts = self._views(op, *args, kk, threshold, **kwargs)
@@ -734,10 +727,9 @@ class _DocPartCoordinator:
     def search(
         self,
         query: str,
-        k: int | None = None,
-        threshold: float | None = None,
+        k: int = 10,
+        threshold: float = 0.0,
         mode: str = "or",
-        cfg: EngineConfig = DEFAULT_CONFIG,
         where=None,
         offset: int = 0,
         min_match: int | None = None,
@@ -751,15 +743,15 @@ class _DocPartCoordinator:
         and decay factors are global."""
         if order_by is not None:
             return self._search_ordered(
-                query, k, threshold, mode, cfg, where, offset,
+                query, k, threshold, mode, where, offset,
                 min_match, boost, order_by, after,
             )
-        return self._topk("search", k, threshold, offset, cfg, query,
+        return self._topk("search", k, threshold, offset, query,
                           mode=mode, where=where, min_match=min_match,
                           after=after, boost=boost)
 
     def _search_ordered(
-        self, query, k, threshold, mode, cfg, where, offset,
+        self, query, k, threshold, mode, where, offset,
         min_match, boost, order_by, after,
     ) -> list[tuple[int, float]]:
         """Field-ordered search across doc shards — exact: each shard
@@ -770,7 +762,7 @@ class _DocPartCoordinator:
         dictionaries, so codes are decoded to strings per shard and
         re-factorized globally (numeric/timestamp values compare
         directly)."""
-        from refimage_ray.query.engine import _check_offset, _normalize_order_by
+        from refimage_ray.query.engine import _normalize_order_by
 
         if after is not None:
             # same contract as the engine
@@ -779,10 +771,7 @@ class _DocPartCoordinator:
                 "with order_by"
             )
         order_keys = _normalize_order_by(order_by)
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        _check_offset(offset)
-        kk = k + offset
+        kk = check_page(k, offset)
         cols = [c for c, _ in order_keys]
         parts = [
             p for group in self._scatter(
@@ -796,9 +785,8 @@ class _DocPartCoordinator:
     def search_phrase(
         self,
         phrase: str,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        k: int = 10,
+        threshold: float = 0.0,
         offset: int = 0,
         slop: int = 0,
     ) -> list[tuple[int, float]]:
@@ -806,16 +794,15 @@ class _DocPartCoordinator:
         positional postings (a phrase match is doc-local, so shard
         results are exact).  Requires ``store_positions=True``."""
         self._require_positions("phrase")
-        return self._topk("search_phrase", k, threshold, offset, cfg,
-                          phrase, slop=slop)
+        return self._topk("search_phrase", k, threshold, offset, phrase,
+                          slop=slop)
 
     def search_near(
         self,
         query: str,
         window: int,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        k: int = 10,
+        threshold: float = 0.0,
         offset: int = 0,
     ) -> list[tuple[int, float]]:
         """Unordered-proximity (NEAR/W) top-k — each shard verifies
@@ -823,8 +810,8 @@ class _DocPartCoordinator:
         (``_SearcherBase.search_near``).  Requires
         ``store_positions=True`` like phrase search."""
         self._require_positions("near")
-        return self._topk("search_near", k, threshold, offset, cfg,
-                          query, window)
+        return self._topk("search_near", k, threshold, offset, query,
+                          window)
 
     def search_grouped(
         self,
@@ -833,15 +820,13 @@ class _DocPartCoordinator:
         k_per_group: int = 3,
         mode: str = "or",
         where=None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        threshold: float = 0.0,
         groups: "list[str] | None" = None,
     ) -> list[tuple[str, int, float]]:
         """Grouped top-k: each shard returns its per-group top-k from
         shard-local values; the global per-group winners are contained
         in the union (disjoint docs), so the merge re-sorts and
         truncates per group — exact."""
-        threshold = cfg.default_threshold if threshold is None else threshold
         parts = self._views(
             "search_grouped", query, by, k_per_group=k_per_group, mode=mode,
             where=where, threshold=threshold, groups=groups,
@@ -1003,58 +988,53 @@ class _DocPartCoordinator:
         return self._vocab().pairs(kind, arg)[1]
 
     def _search_expanded(
-        self, kind: str, arg: str, k, threshold, cfg: EngineConfig,
-        max_expansions: "int | None", where=None, order_by=None,
-        offset: int = 0,
+        self, kind: str, arg: str, k, threshold, max_expansions: int,
+        where=None, order_by=None, offset: int = 0,
     ) -> list[tuple[int, float]]:
-        cap = cfg.max_expansions if max_expansions is None else max_expansions
-        terms = self._vocab().expand(kind, arg, cap)
+        check_page(k, offset)
+        terms = self._vocab().expand(kind, arg, max_expansions)
         if not terms:
             return []
         # expanded terms are tokens, so the joined string re-tokenizes
         # to exactly this set — identical to an OR query over it
         return self.search(" ".join(terms), k=k, threshold=threshold,
-                           mode="or", cfg=cfg, where=where,
+                           mode="or", where=where,
                            order_by=order_by, offset=offset)
 
-    def search_prefix(self, prefix: str, k=None, threshold=None,
-                      cfg: EngineConfig = DEFAULT_CONFIG,
-                      max_expansions: "int | None" = None,
+    def search_prefix(self, prefix: str, k: int = 10, threshold: float = 0.0,
+                      max_expansions: int = 128,
                       where=None, order_by=None, offset: int = 0):
         """Prefix top-k (see ``engine.search_prefix``) — expansion
         against the global terms table, scoring via the exact
         scatter-gather path."""
-        return self._search_expanded("prefix", prefix, k, threshold, cfg,
+        return self._search_expanded("prefix", prefix, k, threshold,
                                      max_expansions, where, order_by, offset)
 
-    def search_fuzzy(self, term: str, k=None, threshold=None,
-                     cfg: EngineConfig = DEFAULT_CONFIG,
-                     max_expansions: "int | None" = None,
+    def search_fuzzy(self, term: str, k: int = 10, threshold: float = 0.0,
+                     max_expansions: int = 128,
                      where=None, order_by=None, offset: int = 0):
         """Levenshtein-≤1 fuzzy top-k (see ``engine.search_fuzzy``)."""
-        return self._search_expanded("fuzzy", term, k, threshold, cfg,
+        return self._search_expanded("fuzzy", term, k, threshold,
                                      max_expansions, where, order_by, offset)
 
-    def search_wildcard(self, pattern: str, k=None, threshold=None,
-                        cfg: EngineConfig = DEFAULT_CONFIG,
-                        max_expansions: "int | None" = None,
+    def search_wildcard(self, pattern: str, k: int = 10,
+                        threshold: float = 0.0, max_expansions: int = 128,
                         where=None, order_by=None, offset: int = 0):
         """Glob wildcard top-k (see ``engine.search_wildcard``)."""
-        return self._search_expanded("wildcard", pattern, k, threshold, cfg,
+        return self._search_expanded("wildcard", pattern, k, threshold,
                                      max_expansions, where, order_by, offset)
 
-    def search_regex(self, pattern: str, k=None, threshold=None,
-                     cfg: EngineConfig = DEFAULT_CONFIG,
-                     max_expansions: "int | None" = None,
+    def search_regex(self, pattern: str, k: int = 10, threshold: float = 0.0,
+                     max_expansions: int = 128,
                      where=None, order_by=None, offset: int = 0):
         """Anchored-regex top-k (see ``engine.search_regex``)."""
-        return self._search_expanded("regex", pattern, k, threshold, cfg,
+        return self._search_expanded("regex", pattern, k, threshold,
                                      max_expansions, where, order_by, offset)
 
-    def search_phrase_prefix(self, phrase: str, k=None, threshold=None,
-                             cfg: EngineConfig = DEFAULT_CONFIG,
+    def search_phrase_prefix(self, phrase: str, k: int = 10,
+                             threshold: float = 0.0,
                              offset: int = 0, slop: int = 0,
-                             max_expansions: "int | None" = None):
+                             max_expansions: int = 128):
         """Search-as-you-type (see ``engine.search_phrase_prefix``):
         the last token is completed against the GLOBAL terms table
         (every shard sees the same completion set), each completion is
@@ -1063,26 +1043,19 @@ class _DocPartCoordinator:
         top-(k+offset) is dominated by ≥k+offset docs globally
         (per-completion cut lines), ties resolved identically by the
         shared (score desc, doc_id asc) rule."""
-        from refimage_ray.query.engine import _check_offset
-        from refimage_ray.query.scorer import topk_select
-
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        _check_offset(offset)
+        kk = check_page(k, offset)
         vocab = self._vocab()
         toks = self._tokenize(phrase)
         if not toks:
             return []
         head, last = toks[:-1], toks[-1]
-        cap = cfg.max_expansions if max_expansions is None else max_expansions
-        expansions = vocab.expand("prefix", last, cap)
+        expansions = vocab.expand("prefix", last, max_expansions)
         if not expansions:
             return []
         best: dict[int, float] = {}
         for e in expansions:
             for d, s in self.search_phrase(
-                " ".join([*head, e]), k=k + offset, threshold=threshold,
-                cfg=cfg, slop=slop,
+                " ".join([*head, e]), k=kk, threshold=threshold, slop=slop,
             ):
                 if d not in best or s > best[d]:
                     best[d] = s
@@ -1090,18 +1063,17 @@ class _DocPartCoordinator:
             return []
         ids = np.fromiter(best.keys(), np.int64, len(best))
         sc = np.fromiter(best.values(), np.float64, len(best))
-        out_ids, out_sc = topk_select(ids, sc, k + offset, threshold)
+        out_ids, out_sc = topk_select(ids, sc, kk, threshold)
         return list(zip(out_ids.tolist(), out_sc.tolist()))[offset:]
 
     def search_rescore(
         self,
         query: str,
-        k: int | None = None,
+        k: int = 10,
         window: int = 50,
         query_weight: float = 1.0,
         rescore_weight: float = 1.0,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        threshold: float = 0.0,
         mode: str = "or",
     ) -> list[tuple[int, float]]:
         """Two-phase rescore (see ``engine.search_rescore`` for the
@@ -1114,11 +1086,10 @@ class _DocPartCoordinator:
         layout keeps no text store to fall back to."""
         from refimage_ray.query.engine import _rescore_combine, query_terms
 
-        k = cfg.default_k if k is None else k
+        check_page(k)
         if k > window:
             raise ValueError(f"k ({k}) must be <= window ({window})")
-        base = self.search(query, k=window, threshold=threshold,
-                           mode=mode, cfg=cfg)
+        base = self.search(query, k=window, threshold=threshold, mode=mode)
         if not base:
             return []
         terms = query_terms(self._tokenize(query))
@@ -1200,10 +1171,9 @@ class DistributedDocPartSearcher(_DocPartCoordinator):
     def search_many(
         self,
         queries: list[str],
-        k: int | None = None,
-        threshold: float | None = None,
+        k: int = 10,
+        threshold: float = 0.0,
         mode: str = "or",
-        cfg: EngineConfig = DEFAULT_CONFIG,
         where=None,
         offset: int = 0,
     ) -> list[list[tuple[int, float]]]:
@@ -1214,12 +1184,7 @@ class DistributedDocPartSearcher(_DocPartCoordinator):
         driver does only the tiny per-query top-k merge."""
         import ray
 
-        from refimage_ray.query.engine import _check_offset
-
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
-        _check_offset(offset)
-        kk = k + offset
+        kk = check_page(k, offset)
         futures = [
             [a.each.remote("search", (q, kk, threshold),
                            {"mode": mode, "where": where})

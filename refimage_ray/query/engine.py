@@ -43,7 +43,6 @@ import numpy as np
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-from refimage_ray.config import DEFAULT_CONFIG, EngineConfig
 from refimage_ray.functions.hashing import blake2b64
 from refimage_ray.functions.text import tokenize
 from refimage_ray.index.reader import (
@@ -53,7 +52,7 @@ from refimage_ray.index.reader import (
     load_doc_universe,
 )
 from refimage_ray.query.scorer import idf as _idf
-from refimage_ray.query.scorer import query_terms, topk_select
+from refimage_ray.query.scorer import check_page, query_terms, topk_select
 
 
 def _score_disjunctive(
@@ -171,11 +170,6 @@ def _release_dense_buffer(buf: np.ndarray) -> None:
             # buffer isn't evicted by small test indexes
             _DENSE_POOL.sort(key=len, reverse=True)
             del _DENSE_POOL[_DENSE_POOL_MAX:]
-
-
-def _check_offset(offset) -> None:
-    if not isinstance(offset, int) or offset < 0:
-        raise ValueError(f"offset must be a non-negative int, got {offset!r}")
 
 
 def _check_min_match(min_match, mode: str) -> "int | None":
@@ -400,8 +394,9 @@ class _SearcherBase:
         """Rank-aligned doc-value columns, loaded lazily ONCE per
         searcher and extended column-by-column on first use (the
         load-once residency class of ``all_ids`` itself) — see
-        ``index/docvalues.py``.  Requires ``dense_ranks=True``: masks
-        and facet kernels are universe-rank-aligned."""
+        ``index/docvalues.py``.  Requires a resident doc_id universe
+        (``MultiSearcher`` and value-less docpart shard views have
+        none): masks and facet kernels are universe-rank-aligned."""
         if self.all_ids is None or not hasattr(self, "index_dir"):
             raise ValueError(
                 "doc values require a searcher with a resident doc_id "
@@ -510,13 +505,11 @@ class _SearcherBase:
     def search(
         self,
         query: str,
-        k: int | None = None,
-        threshold: float | None = None,
+        k: int = 10,
+        threshold: float = 0.0,
         mode: str = "or",
-        cfg: EngineConfig = DEFAULT_CONFIG,
         prune: "bool | str" = True,  # False | True (MaxScore) | "blockmax"
         scorer: str = "bm25",
-        dense: bool | None = None,
         synonyms: "dict[str, list[str]] | None" = None,
         where=None,  # [(col, op, value), ...] | {col: value} doc-value filter
         order_by: "tuple[str, str] | None" = None,  # (col, "asc"|"desc")
@@ -525,8 +518,12 @@ class _SearcherBase:
         after: "tuple[float, int] | None" = None,  # (score, doc_id) cursor
         boost=None,  # DecaySpec — multiplicative doc-value decay
     ) -> list[tuple[int, float]]:
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
+        # pagination (LIMIT k OFFSET n over the same total order): fetch
+        # the top (k+offset) and slice — every scoring path's ordering
+        # is total and deterministic (score desc then doc_id asc, or
+        # the order_by key), so page boundaries never shift between
+        # requests against the same artifact
+        kk = check_page(k, offset)
         terms = query_terms(self._tokenize(query))
         if synonyms:
             # synonym expansion widens the match set, which only has a
@@ -538,16 +535,9 @@ class _SearcherBase:
 
             terms = expand_synonyms(terms, synonyms, self._tokenize)
         term_map = self._term_map(terms)
-        # pagination (LIMIT k OFFSET n over the same total order): fetch
-        # the top (k+offset) and slice — every scoring path's ordering
-        # is total and deterministic (score desc then doc_id asc, or
-        # the order_by key), so page boundaries never shift between
-        # requests against the same artifact
-        if offset:
-            _check_offset(offset)
         return self._finish_search(
-            term_map, terms, k + offset, threshold, mode, prune, scorer,
-            dense, where, order_by, min_match, after, boost,
+            term_map, terms, kk, threshold, mode, prune, scorer,
+            where, order_by, min_match, after, boost,
         )[offset:]
 
     def search_weighted(
@@ -571,6 +561,7 @@ class _SearcherBase:
         (``/root/reference/src/refimage/dsl.py`` weight nodes), made
         exact at the postings level.
         """
+        check_page(k)
         wmap: dict[str, float] = {}
         for t, w in pairs:
             if not (w > 0):
@@ -608,62 +599,55 @@ class _SearcherBase:
         raise NotImplementedError
 
     def _search_expanded(
-        self, kind: str, arg: str, k: int | None, threshold: float | None,
-        cfg: EngineConfig, prune: "bool | str", scorer: str,
-        dense: bool | None, max_expansions: int | None, where=None,
+        self, kind: str, arg: str, k: int, threshold: float,
+        prune: "bool | str", scorer: str, max_expansions: int, where=None,
         order_by=None, offset: int = 0,
     ) -> list[tuple[int, float]]:
         from refimage_ray.query.expand import cap_expansion, normalize_probe
 
-        _check_offset(offset)
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
+        kk = check_page(k, offset)
         probe = normalize_probe(kind, arg, self._tokenize)
-        cap = cfg.max_expansions if max_expansions is None else max_expansions
-        terms = cap_expansion(self._expand_pairs(kind, probe), cap)
+        terms = cap_expansion(self._expand_pairs(kind, probe), max_expansions)
         if not terms:
             return []
         term_map = self._term_map(terms)
         return self._finish_search(
-            term_map, terms, k + offset, threshold, "or", prune, scorer,
-            dense, where, order_by,
+            term_map, terms, kk, threshold, "or", prune, scorer, where,
+            order_by,
         )[offset:]
 
     def search_prefix(
-        self, prefix: str, k: int | None = None,
-        threshold: float | None = None, cfg: EngineConfig = DEFAULT_CONFIG,
+        self, prefix: str, k: int = 10, threshold: float = 0.0,
         prune: "bool | str" = True, scorer: str = "bm25",
-        dense: bool | None = None, max_expansions: int | None = None,
+        max_expansions: int = 128,
         where=None, order_by=None, offset: int = 0,
     ) -> list[tuple[int, float]]:
         """Prefix top-k (``netw*``): expand against the term dictionary,
         score the expansion as an ordinary disjunctive query — results
         identical to ``search(" ".join(expansion))``."""
         return self._search_expanded(
-            "prefix", prefix, k, threshold, cfg, prune, scorer, dense,
+            "prefix", prefix, k, threshold, prune, scorer,
             max_expansions, where, order_by, offset,
         )
 
     def search_fuzzy(
-        self, term: str, k: int | None = None,
-        threshold: float | None = None, cfg: EngineConfig = DEFAULT_CONFIG,
+        self, term: str, k: int = 10, threshold: float = 0.0,
         prune: "bool | str" = True, scorer: str = "bm25",
-        dense: bool | None = None, max_expansions: int | None = None,
+        max_expansions: int = 128,
         where=None, order_by=None, offset: int = 0,
     ) -> list[tuple[int, float]]:
         """Fuzzy top-k (``aple~``): all vocabulary terms within
         Levenshtein distance 1 (SymSpell deletion neighborhood, built
         once per resident dictionary), scored disjunctively."""
         return self._search_expanded(
-            "fuzzy", term, k, threshold, cfg, prune, scorer, dense,
+            "fuzzy", term, k, threshold, prune, scorer,
             max_expansions, where, order_by, offset,
         )
 
     def search_wildcard(
-        self, pattern: str, k: int | None = None,
-        threshold: float | None = None, cfg: EngineConfig = DEFAULT_CONFIG,
+        self, pattern: str, k: int = 10, threshold: float = 0.0,
         prune: "bool | str" = True, scorer: str = "bm25",
-        dense: bool | None = None, max_expansions: int | None = None,
+        max_expansions: int = 128,
         where=None, order_by=None, offset: int = 0,
     ) -> list[tuple[int, float]]:
         """Wildcard top-k (``ne?w*k``, Lucene WildcardQuery): glob
@@ -672,22 +656,21 @@ class _SearcherBase:
         ordinary disjunctive query.  A leading literal bounds the
         vocab scan to a prefix range."""
         return self._search_expanded(
-            "wildcard", pattern, k, threshold, cfg, prune, scorer, dense,
+            "wildcard", pattern, k, threshold, prune, scorer,
             max_expansions, where, order_by, offset,
         )
 
     def search_regex(
-        self, pattern: str, k: int | None = None,
-        threshold: float | None = None, cfg: EngineConfig = DEFAULT_CONFIG,
+        self, pattern: str, k: int = 10, threshold: float = 0.0,
         prune: "bool | str" = True, scorer: str = "bm25",
-        dense: bool | None = None, max_expansions: int | None = None,
+        max_expansions: int = 128,
         where=None, order_by=None, offset: int = 0,
     ) -> list[tuple[int, float]]:
         """Regex top-k (Lucene RegexpQuery): vocabulary terms fully
         matching an anchored regex, scored disjunctively.  Terms are
         lowercase, so patterns should be too."""
         return self._search_expanded(
-            "regex", pattern, k, threshold, cfg, prune, scorer, dense,
+            "regex", pattern, k, threshold, prune, scorer,
             max_expansions, where, order_by, offset,
         )
 
@@ -700,7 +683,6 @@ class _SearcherBase:
         mode: str,
         prune: "bool | str",
         scorer: str,
-        dense: bool | None,
         where=None,
         order_by: "tuple[str, str] | None" = None,
         min_match: int | None = None,
@@ -709,7 +691,11 @@ class _SearcherBase:
     ) -> list[tuple[int, float]]:
         """Scoring half of :meth:`search` — separated so batch serving
         (``search_many``) can overlap many queries' postings RPCs
-        before scoring each."""
+        before scoring each.  The disjunctive kernel is chosen from the
+        lists, not by the caller: dense-rank TAAT when ``prune`` is the
+        default ``True``, the universe is resident, every query term
+        carries ranks and the query's posting mass is at least 1/32 of
+        the universe; otherwise the sparse kernel ``prune`` names."""
         if mode not in ("or", "and"):
             raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
         if after is not None:
@@ -826,7 +812,7 @@ class _SearcherBase:
             # a string prune value (e.g. "blockmax") is an explicitly
             # requested evaluation strategy — only the default
             # prune=True may auto-route to the dense fast path
-            (prune is True if dense is None else dense)
+            prune is True
             and self.all_ids is not None
             # check only the QUERY's terms — LocalSearcher's term_map is
             # the whole vocabulary and an all-values scan would cost
@@ -834,20 +820,15 @@ class _SearcherBase:
             and all(
                 term_map[t].ranks is not None for t in terms if t in term_map
             )
-        )
-        if use_dense and prune and dense is None:
             # cost-based switch: the dense pass pays an O(universe)
             # candidate scan regardless of query size, so when the
             # query's posting mass is a tiny fraction of the universe
             # the MaxScore-pruned sparse path wins (measured crossover
             # ≈ universe/32 total df at 4M docs; both paths are
-            # bit-identical, so this is latency-only).  An explicit
-            # dense=True/False still forces a path.
-            sum_df = sum(
-                term_map[t].df for t in terms if t in term_map
-            )
-            if sum_df * 32 < len(self.all_ids):
-                use_dense = False
+            # bit-identical, so this is latency-only)
+            and sum(term_map[t].df for t in terms if t in term_map) * 32
+            >= len(self.all_ids)
+        )
         if mode == "and":
             ids, scores = _score_conjunctive(term_map, terms, self.n_docs, idf_fn)
         elif use_dense:
@@ -874,9 +855,8 @@ class _SearcherBase:
     def search_phrase(
         self,
         phrase: str,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        k: int = 10,
+        threshold: float = 0.0,
         offset: int = 0,
         slop: int = 0,
     ) -> list[tuple[int, float]]:
@@ -896,9 +876,7 @@ class _SearcherBase:
         """
         if slop < 0:
             raise ValueError(f"slop must be >= 0, got {slop}")
-        _check_offset(offset)
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
+        kk = check_page(k, offset)
         phrase_tokens = self._tokenize(phrase)
         if not phrase_tokens:
             return []
@@ -925,18 +903,17 @@ class _SearcherBase:
                 if _contains_phrase(self._tokenize(txt), phrase_tokens, slop)
             }
             keep = np.array([d in ok_ids for d in cand.tolist()], dtype=bool)
-        ids, sc = topk_select(cand[keep], scores[keep], k + offset, threshold)
+        ids, sc = topk_select(cand[keep], scores[keep], kk, threshold)
         return list(zip(ids.tolist(), sc.tolist()))[offset:]
 
     def search_phrase_prefix(
         self,
         phrase: str,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        k: int = 10,
+        threshold: float = 0.0,
         offset: int = 0,
         slop: int = 0,
-        max_expansions: int | None = None,
+        max_expansions: int = 128,
     ) -> list[tuple[int, float]]:
         """Search-as-you-type phrase top-k (the ES
         ``match_phrase_prefix`` analog): the LAST token is a prefix,
@@ -953,15 +930,13 @@ class _SearcherBase:
         merge under max-score before a single global top-k cut."""
         from refimage_ray.query.expand import cap_expansion
 
-        _check_offset(offset)
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
+        kk = check_page(k, offset)
         toks = self._tokenize(phrase)
         if not toks:
             return []
         head, last = toks[:-1], toks[-1]
-        cap = cfg.max_expansions if max_expansions is None else max_expansions
-        expansions = cap_expansion(self._expand_pairs("prefix", last), cap)
+        expansions = cap_expansion(self._expand_pairs("prefix", last),
+                                   max_expansions)
         if not expansions:
             return []
         # resolve ALL postings once (one scatter round on distributed
@@ -1014,16 +989,15 @@ class _SearcherBase:
             return []
         ids = np.fromiter(best.keys(), np.int64, len(best))
         sc = np.fromiter(best.values(), np.float64, len(best))
-        out_ids, out_sc = topk_select(ids, sc, k + offset, threshold)
+        out_ids, out_sc = topk_select(ids, sc, kk, threshold)
         return list(zip(out_ids.tolist(), out_sc.tolist()))[offset:]
 
     def search_near(
         self,
         query: str,
         window: int,
-        k: int | None = None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        k: int = 10,
+        threshold: float = 0.0,
         offset: int = 0,
     ) -> list[tuple[int, float]]:
         """Unordered proximity top-k (classic boolean-IR ``NEAR/W``,
@@ -1049,9 +1023,7 @@ class _SearcherBase:
             # from raising OverflowError past 2^63
             raise ValueError(
                 f"window must be <= {2**31 - 1}, got {window}")
-        _check_offset(offset)
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
+        kk = check_page(k, offset)
         terms = query_terms(self._tokenize(query))
         if not terms:
             return []
@@ -1076,18 +1048,17 @@ class _SearcherBase:
                 if _contains_near(self._tokenize(txt), terms, window)
             }
             keep = np.array([d in ok_ids for d in cand.tolist()], dtype=bool)
-        ids, sc = topk_select(cand[keep], scores[keep], k + offset, threshold)
+        ids, sc = topk_select(cand[keep], scores[keep], kk, threshold)
         return list(zip(ids.tolist(), sc.tolist()))[offset:]
 
     def search_rescore(
         self,
         query: str,
-        k: int | None = None,
+        k: int = 10,
         window: int = 50,
         query_weight: float = 1.0,
         rescore_weight: float = 1.0,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        threshold: float = 0.0,
         mode: str = "or",
     ) -> list[tuple[int, float]]:
         """Two-phase ranking (the ES ``rescore`` window): exact BM25
@@ -1108,11 +1079,10 @@ class _SearcherBase:
         Python), else from re-tokenized candidate texts (bounded by
         ``window``, the same fallback class as ``search_phrase``).
         """
-        k = cfg.default_k if k is None else k
+        check_page(k)
         if k > window:
             raise ValueError(f"k ({k}) must be <= window ({window})")
-        base = self.search(query, k=window, threshold=threshold, mode=mode,
-                           cfg=cfg)
+        base = self.search(query, k=window, threshold=threshold, mode=mode)
         if not base:
             return []
         terms = query_terms(self._tokenize(query))
@@ -1157,8 +1127,7 @@ class _SearcherBase:
         k_per_group: int = 3,
         mode: str = "or",
         where=None,
-        threshold: float | None = None,
-        cfg: EngineConfig = DEFAULT_CONFIG,
+        threshold: float = 0.0,
         groups: "list[str] | None" = None,
     ) -> list[tuple[str, int, float]]:
         """Grouped top-k: the best ``k_per_group`` hits per value of a
@@ -1175,7 +1144,6 @@ class _SearcherBase:
         """
         if mode not in ("or", "and"):
             raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
-        threshold = cfg.default_threshold if threshold is None else threshold
         from refimage_ray.index.docvalues import where_columns
 
         cols = sorted(
@@ -1851,7 +1819,7 @@ class LocalSearcher(_SearcherBase):
     """Whole index resident in one process (reference: FAISS + id list,
     ``search/__init__.py:57-60``)."""
 
-    def __init__(self, index_dir: str, dense_ranks: bool = True) -> None:
+    def __init__(self, index_dir: str) -> None:
         reader = IndexReader(index_dir)
         self.terms = reader.load_shards(None)
         self.n_docs = reader.n_docs
@@ -1860,9 +1828,8 @@ class LocalSearcher(_SearcherBase):
         self.term_filter = reader.manifest["config"].get("term_filter", "none")
         self.index_dir = index_dir
         self._expand_cache: dict = {}
-        if dense_ranks:
-            self.all_ids = load_doc_universe(index_dir)
-            attach_ranks(self.terms, self.all_ids)
+        self.all_ids = load_doc_universe(index_dir)
+        attach_ranks(self.terms, self.all_ids)
 
     def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
         return self.terms
@@ -1874,15 +1841,13 @@ class LocalSearcher(_SearcherBase):
 class ShardSearcher:
     """Actor body: loads assigned shards once, serves raw per-term postings."""
 
-    def __init__(self, index_dir: str, shards: list[int],
-                 dense_ranks: bool = True) -> None:
+    def __init__(self, index_dir: str, shards: list[int]) -> None:
         self.terms = IndexReader(index_dir).load_shards(shards)
         self._expand_cache: dict = {}
-        if dense_ranks:
-            # every shard actor ranks against the SAME sorted universe
-            # (one narrow docs/ column read), so the driver can merge
-            # rank-space scores from any actor subset
-            attach_ranks(self.terms, load_doc_universe(index_dir))
+        # every shard actor ranks against the SAME sorted universe (one
+        # narrow docs/ column read), so the driver can merge rank-space
+        # scores from any actor subset
+        attach_ranks(self.terms, load_doc_universe(index_dir))
 
     def expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
         """Expansion probe against THIS actor's resident vocabulary —
@@ -1917,7 +1882,6 @@ class DistributedSearcher(_SearcherBase):
     """
 
     def __init__(self, index_dir: str, num_actors: int = 4,
-                 dense_ranks: bool = True,
                  cache_bytes: int = 256 * 1024 * 1024,
                  max_restarts: int = 2) -> None:
         from collections import OrderedDict
@@ -1955,11 +1919,10 @@ class DistributedSearcher(_SearcherBase):
             max_task_retries=max_restarts and -1,
         )(ShardSearcher)
         self.actors = [
-            actor_cls.remote(index_dir, shs, dense_ranks) for shs in assignment
+            actor_cls.remote(index_dir, shs) for shs in assignment
         ]
         self.num_actors = num_actors
-        if dense_ranks:
-            self.all_ids = load_doc_universe(index_dir)
+        self.all_ids = load_doc_universe(index_dir)
 
     def wait_ready(self, warm_hot_terms: bool = True) -> None:
         """Block until every shard actor has finished loading.
@@ -2070,13 +2033,11 @@ class DistributedSearcher(_SearcherBase):
     def search_many(
         self,
         queries: list[str],
-        k: int | None = None,
-        threshold: float | None = None,
+        k: int = 10,
+        threshold: float = 0.0,
         mode: str = "or",
-        cfg: EngineConfig = DEFAULT_CONFIG,
         prune: "bool | str" = True,
         scorer: str = "bm25",
-        dense: bool | None = None,
         where=None,
         order_by=None,
     ) -> list[list[tuple[int, float]]]:
@@ -2085,8 +2046,7 @@ class DistributedSearcher(_SearcherBase):
         gather+score in order) — per-query results identical to
         :meth:`search`.  The term-partitioned analog of
         ``DistributedDocPartSearcher.search_many``."""
-        k = cfg.default_k if k is None else k
-        threshold = cfg.default_threshold if threshold is None else threshold
+        check_page(k)
         per_query = [query_terms(self._tokenize(q)) for q in queries]
         # ONE postings fetch for the batch's unique terms: real query
         # batches are term-skewed, and issuing per query would re-ship
@@ -2096,7 +2056,7 @@ class DistributedSearcher(_SearcherBase):
         tmap = self._term_map(union)
         return [
             self._finish_search(
-                tmap, terms, k, threshold, mode, prune, scorer, dense, where,
+                tmap, terms, k, threshold, mode, prune, scorer, where,
                 order_by,
             )
             for terms in per_query

@@ -195,9 +195,11 @@ def normalize_probe(kind: str, arg: str, tokenize_fn) -> str:
 
 
 def cap_expansion(pairs: list[tuple[str, int]], max_expansions: int) -> list[str]:
-    """Deterministic expansion cap: keep the ``max_expansions`` most
+    """Deterministic expansion cap (the Lucene maxExpansions analog;
+    the operators default to 128): keep the ``max_expansions`` most
     frequent terms (df desc, term asc tie-break), return them term-
-    sorted (the engine's canonical query-term order)."""
+    sorted (the engine's canonical query-term order).  <=0 disables
+    the cap."""
     if max_expansions <= 0 or len(pairs) <= max_expansions:
         return sorted(t for t, _ in pairs)
     pairs = sorted(pairs, key=lambda p: (-p[1], p[0]))[:max_expansions]

@@ -17,8 +17,9 @@ double-count — and configs must agree (token_pattern, k1/b); both are
 validated loudly at load.
 
 Scale note: per query the merge touches only the QUERY's terms'
-postings — O(query posting mass) concatenation + one stable argsort,
-the same order as scoring itself.  Doc-value filters/facets need a
+postings — an O(query posting mass) linear merge of the parts' sorted
+lists, reweighted by the NRT builder (``nrt._merged_postings``), the
+same order as scoring itself.  Doc-value filters/facets need a
 single rank universe and stay per-artifact (flush through
 merge_indexes for those).
 """
@@ -30,7 +31,7 @@ import numpy as np
 from refimage_ray.index.manifest import load_manifest
 from refimage_ray.index.reader import TermPostings
 from refimage_ray.query.engine import LocalSearcher, _SearcherBase
-from refimage_ray.query.scorer import bm25_weight
+from refimage_ray.query.nrt import _merge_sorted_disjoint, _merged_postings
 
 
 class MultiSearcher(_SearcherBase):
@@ -79,24 +80,14 @@ class MultiSearcher(_SearcherBase):
                         "federated merge needs per-posting doc lengths; "
                         f"rebuild the artifact (dls missing for {t!r})"
                     )
-            ids = np.concatenate([h.doc_ids for h in hits])
-            tfs = np.concatenate([h.tfs for h in hits])
-            dls = np.concatenate([h.dls for h in hits])
-            if len(hits) > 1:
-                order = np.argsort(ids, kind="stable")
-                ids, tfs, dls = ids[order], tfs[order], dls[order]
-            w = bm25_weight(
-                tfs.astype(np.float64), dls.astype(np.float64),
-                self.avgdl, self._k1, self._b,
-            )
-            mx = float(w.max()) if len(w) else 0.0
-            out[t] = TermPostings(
-                df=len(ids), doc_ids=ids, weights=w, tfs=tfs,
-                max_weight=mx,
-                block_last_doc=ids[-1:].copy(),
-                block_max_weight=np.array([mx], np.float64),
-                dls=dls,
-            )
+            # the parts' lists are doc_id-sorted and disjoint (validated
+            # at load): a linear merge, then the NRT builder reweights
+            ids, tfs, dls = hits[0].doc_ids, hits[0].tfs, hits[0].dls
+            for h in hits[1:]:
+                ids, (tfs, dls) = _merge_sorted_disjoint(
+                    ids, h.doc_ids, (tfs, dls), (h.tfs, h.dls))
+            out[t] = _merged_postings(t, None, (ids, tfs, dls), None,
+                                      self.avgdl, self._k1, self._b)
         return out
 
     def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:

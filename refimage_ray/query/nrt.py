@@ -291,10 +291,11 @@ def _merged_postings(t: str, bp, bb, df, avgdl: float, k1: float, b: float,
                      universe=None) -> "TermPostings | None":
     """Term ``t``'s base postings ``bp`` (a TermPostings or None) merged
     with its buffered ``bb`` = (ids, tfs, dls) (or None) and reweighted
-    under the merged avgdl: the one place either NRT layout builds a
-    term's postings.  ``df`` is the idf basis (None: the merged list's
-    length); ``universe`` (sorted doc ids) attaches dense ranks.  None
-    when neither side holds the term."""
+    under the merged avgdl: the one place either NRT layout, and the
+    federated ``MultiSearcher``, builds a term's merged postings.
+    ``df`` is the idf basis (None: the merged list's length);
+    ``universe`` (sorted doc ids) attaches dense ranks.  None when
+    neither side holds the term."""
     if bp is not None and bp.df > 0:
         if bp.dls is None:
             raise ValueError(

@@ -38,6 +38,18 @@ def query_terms(tokens: list[str]) -> list[str]:
     return sorted(set(tokens))
 
 
+def check_page(k, offset=0) -> int:
+    """The page of every top-k operator, checked at one site on both
+    layouts: ``k`` and ``offset`` are non-negative ints (a negative
+    ``k`` would reach :func:`topk_select`'s ``[:k]`` slice).  Returns
+    ``k + offset``, the top the page is cut from."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be a non-negative int, got {k!r}")
+    if not isinstance(offset, int) or offset < 0:
+        raise ValueError(f"offset must be a non-negative int, got {offset!r}")
+    return k + offset
+
+
 def topk_select(
     doc_ids: np.ndarray, scores: np.ndarray, k: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -182,29 +182,6 @@ def chunk_docs(ds, **kwargs):
     )
 
 
-def segment_batch(
-    batch: pa.Table,
-    *,
-    seg_words: int = 20,
-    delimiter: str | None = None,
-    text_col: str = "text",
-    doc_col: str = "doc_id",
-) -> pa.Table:
-    """``(doc_id, seg_idx, seg)`` rows for one batch (test surface /
-    building block)."""
-    segs, parent, seg_idx, _ = _segment_arrays(
-        batch[text_col], seg_words, delimiter
-    )
-    doc = batch[doc_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table(
-        {
-            "doc_id": pa.array(doc[parent], pa.int64()),
-            "seg_idx": pa.array(seg_idx, pa.int64()),
-            "seg": segs,
-        }
-    )
-
-
 def duplicated_segments(
     docs_ds,
     *,

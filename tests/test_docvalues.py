@@ -15,6 +15,7 @@ import pyarrow as pa
 import pytest
 
 from refimage_ray.query.engine import DistributedSearcher, LocalSearcher
+from refimage_ray.query.multi import MultiSearcher
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,8 @@ def test_filter_errors(searcher):
     with pytest.raises(ValueError):
         searcher.search("data", where=[("doc_len", "~", 3)])
     with pytest.raises(ValueError):
-        LocalSearcher(searcher.index_dir, dense_ranks=False).search(
+        # a searcher with no resident rank universe refuses filters
+        MultiSearcher([searcher.index_dir]).search(
             "data", where={"lang": "en"}
         )
 

@@ -15,9 +15,9 @@ import ray.data as rd
 
 from refimage_ray.functions.arrays import sorted_pair_membership
 from refimage_ray.stages.lines import (
+    _segment_arrays,
     duplicated_segments,
     line_dedup,
-    segment_batch,
 )
 
 
@@ -130,15 +130,15 @@ def test_delimiter_mode_matches_naive(ray_session):
 
 def test_segment_batch_parity(ray_session, tiny_docs):
     sub = tiny_docs.select(["doc_id", "text"]).slice(0, 40)
-    got = segment_batch(sub, seg_words=20).to_pydict()
+    segs, parent, seg_idx, _ = _segment_arrays(sub["text"], 20, None)
+    doc = sub["doc_id"].to_numpy()[parent].tolist()
+    segs, seg_idx = segs.to_pylist(), seg_idx.tolist()
     k = 0
-    for doc, text in zip(sub["doc_id"].to_pylist(), sub["text"].to_pylist()):
+    for d, text in zip(sub["doc_id"].to_pylist(), sub["text"].to_pylist()):
         for i, s in enumerate(_naive_segments(text, 20, None)):
-            assert (
-                got["doc_id"][k], got["seg_idx"][k], got["seg"][k]
-            ) == (doc, i, s)
+            assert (doc[k], seg_idx[k], segs[k]) == (d, i, s)
             k += 1
-    assert k == len(got["seg"])
+    assert k == len(segs)
 
 
 def test_block_layout_invariance(ray_session):

@@ -47,8 +47,7 @@ def test_lev1_regex_matches_edit_distance():
 def searcher(built_index):
     from refimage_ray.query.engine import LocalSearcher
 
-    index_dir, cfg, _ = built_index
-    return LocalSearcher(index_dir, cfg)
+    return LocalSearcher(built_index[0])
 
 
 PERC_CASES = [
@@ -132,16 +131,22 @@ def test_tag_query_requires_lang_column():
 
 def test_percolate_no_expansion_cap():
     """Percolation is boolean membership: a prefix rule matches every
-    doc containing ANY matching term, even past ``max_expansions``."""
-    cfg = EngineConfig(num_shards=4, salt_buckets=2, max_expansions=2)
+    doc containing ANY matching term, even past the search operators'
+    ``max_expansions=128`` default cap."""
+    from refimage_ray.query.expand import cap_expansion
+
+    n = 130
+    terms = [f"net{i}" for i in range(n)]
+    assert len(cap_expansion([(t, 1) for t in terms], 128)) < n
+    cfg = EngineConfig(num_shards=4, salt_buckets=2)
     docs = pa.table(
         {
-            "doc_id": pa.array(range(8), pa.int64()),
-            "text": pa.array([f"net{i} filler" for i in range(8)]),
+            "doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array([f"{t} filler" for t in terms]),
         }
     )
     p = Percolator({"q": "net*"}, cfg)
-    assert p(docs).num_rows == 8
+    assert p(docs).num_rows == n
 
 
 def test_near_mask_vs_text_fallback(tiny_docs):

@@ -51,28 +51,124 @@ def test_metadata_join_drops_missing(built_index, local):
     assert "url" in t.column_names and "text" not in t.column_names
 
 
+def _kernel_topk(local, kernel, q, k, th, scorer="bm25"):
+    """Top-k of one disjunctive kernel called directly on ``local``'s
+    postings: the dense kernel answers universe ranks, the sparse ones
+    doc ids; the pruned ones also take (k, threshold)."""
+    import numpy as np
+
+    from refimage_ray.extension import get_scorer
+    from refimage_ray.query.engine import (
+        _score_disjunctive_dense,
+        _topk_disjunctive_blockmax,
+        _topk_disjunctive_pruned,
+    )
+    from refimage_ray.query.scorer import idf, query_terms, topk_select
+
+    terms = query_terms(local._tokenize(q))
+    tmap, idf_fn = local.terms, idf
+    if scorer != "bm25":
+        tmap = local._rescore_map(tmap, scorer, terms)
+        idf_fn = get_scorer(scorer).idf
+    if kernel is _score_disjunctive_dense:
+        ranks, sc = kernel(tmap, terms, local.n_docs, len(local.all_ids),
+                           idf_fn)
+        ids = local.all_ids[ranks]
+    elif kernel in (_topk_disjunctive_pruned, _topk_disjunctive_blockmax):
+        ids, sc = kernel(tmap, terms, local.n_docs, k, th, idf_fn)
+    else:
+        ids, sc = kernel(tmap, terms, local.n_docs, idf_fn)
+    ids, sc = topk_select(np.asarray(ids, np.int64), sc, k, th)
+    return list(zip(ids.tolist(), sc.tolist()))
+
+
 def test_pruned_equals_full(local, oracle):
     """All four disjunctive scoring paths — dense-rank TAAT (default),
     MaxScore-pruned, Block-Max MaxScore, and full factorize — must be
     bit-identical."""
+    from refimage_ray.query.engine import (
+        _score_disjunctive,
+        _score_disjunctive_dense,
+        _topk_disjunctive_blockmax,
+        _topk_disjunctive_pruned,
+    )
+
     for q in FIXTURE_QUERIES + ["the", "the a w050", "spark the merge a"]:
         for k in (1, 3, 10, 50):
             for th in (0.0, 0.3, 1.0):
-                full = local.search(q, k=k, threshold=th, prune=False, dense=False)
-                pruned = local.search(q, k=k, threshold=th, prune=True, dense=False)
-                bmw = local.search(q, k=k, threshold=th, prune="blockmax",
-                                   dense=False)
-                densed = local.search(q, k=k, threshold=th, dense=True)
+                full = _kernel_topk(local, _score_disjunctive, q, k, th)
+                pruned = _kernel_topk(local, _topk_disjunctive_pruned,
+                                      q, k, th)
+                bmw = _kernel_topk(local, _topk_disjunctive_blockmax, q, k, th)
+                densed = _kernel_topk(local, _score_disjunctive_dense,
+                                      q, k, th)
                 assert pruned == full == bmw == densed, (q, k, th)
+                assert local.search(q, k=k, threshold=th) == full, (q, k, th)
+                assert local.search(q, k=k, threshold=th, prune=False) == full
+                assert local.search(q, k=k, threshold=th,
+                                    prune="blockmax") == full, (q, k, th)
 
 
 def test_dense_path_with_plugin_scorer(local):
     """The dense path's touched-mask branch (plugin scorers may emit
     non-positive contributions) matches the sparse path exactly."""
+    from refimage_ray.query.engine import (
+        _score_disjunctive,
+        _score_disjunctive_dense,
+    )
+
     for q in FIXTURE_QUERIES[:4]:
-        a = local.search(q, k=20, scorer="bm25l", dense=True)
-        b = local.search(q, k=20, scorer="bm25l", dense=False, prune=False)
+        a = _kernel_topk(local, _score_disjunctive_dense, q, 20, 0.0, "bm25l")
+        b = _kernel_topk(local, _score_disjunctive, q, 20, 0.0, "bm25l")
         assert a == b, q
+        assert local.search(q, k=20, scorer="bm25l", prune=False) == b, q
+
+
+@pytest.fixture(scope="module")
+def sparse_local(ray_session, tiny_docs, tmp_path_factory):
+    """The fixture corpus plus six docs holding rare terms (df 1–3):
+    every fixture term has df >= 30 of 250, so only these reach the
+    auto switch's sparse arm (posting mass under 1/32 of the
+    universe)."""
+    import ray.data as rd
+
+    from refimage_ray.config import EngineConfig
+    from refimage_ray.index.build import build_index
+
+    n = tiny_docs.num_rows
+    extra = ["qrare1 qrare2 qrare3 the", "qrare2 qrare3 data qrare3",
+             "qrare3 join", "qrare4", "qrare4 qrare4 spark", "qrare5 qrare2"]
+    docs = pa.table({
+        "doc_id": pa.array(range(n + len(extra)), pa.int64()),
+        "text": tiny_docs["text"].to_pylist() + extra,
+    })
+    index_dir = str(tmp_path_factory.mktemp("sparse") / "idx")
+    build_index(rd.from_arrow(docs), index_dir,
+                EngineConfig(num_shards=8, salt_buckets=4))
+    return LocalSearcher(index_dir)
+
+
+def test_auto_switch_sparse_arm(sparse_local, monkeypatch):
+    """A default search whose posting mass is under 1/32 of the
+    universe takes the sparse MaxScore kernel (the dense kernel is not
+    called) and equals the unpruned kernel."""
+    from refimage_ray.query import engine
+    from refimage_ray.query.engine import _score_disjunctive
+
+    local = sparse_local
+    universe = len(local.all_ids)
+
+    def no_dense(*a, **kw):
+        raise AssertionError("dense kernel on a sparse-regime query")
+
+    monkeypatch.setattr(engine, "_score_disjunctive_dense", no_dense)
+    for q in ("qrare1", "qrare2 qrare4", "qrare3 qrare5", "qrare1 qrare4"):
+        assert sum(local.terms[t].df for t in q.split()) * 32 < universe, q
+        for k in (1, 2, 3, 10):
+            for th in (0.0, 1.0):
+                want = _kernel_topk(local, _score_disjunctive, q, k, th)
+                assert want and local.search(q, k=k, threshold=th) == want, \
+                    (q, k, th)
 
 
 def test_dsl_over_distributed_searcher(ray_session, built_index):
