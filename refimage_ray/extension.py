@@ -134,6 +134,7 @@ def explain(query: str, num_shards: int = 32, analyzer: str = "default") -> dict
     from refimage_ray.query.dsl import (
         AndQuery,
         DSLParser,
+        ExpandQuery,
         NotQuery,
         OrQuery,
         TagFilter,
@@ -155,6 +156,8 @@ def explain(query: str, num_shards: int = 32, analyzer: str = "default") -> dict
             }
         if isinstance(node, TagFilter):
             return {"op": "tag_filter", "tags": node.tags, "mode": node.mode}
+        if isinstance(node, ExpandQuery):
+            return {"op": node.kind, "arg": node.arg, "weight": node.weight}
         if isinstance(node, AndQuery):
             return {"op": "and", "operands": [node_plan(o) for o in node.operands]}
         if isinstance(node, OrQuery):

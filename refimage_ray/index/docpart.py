@@ -59,6 +59,7 @@ from refimage_ray.index.reader import (
     encode_term_runs,
     run_bounds,
 )
+from refimage_ray.query.expand import ExpansionOps, cap_expansion, expand_vocab
 from refimage_ray.query.scorer import bm25_weight, check_page, topk_select
 from refimage_ray.stages.tokenize import doc_stats_batch, tokenize_batch
 
@@ -365,72 +366,6 @@ def _load_shard_view(
     return _ShardView(tm, dv)
 
 
-class _GlobalVocabExpander:
-    """Prefix/fuzzy expansion for the doc-partitioned layout, probed
-    against the artifact's GLOBAL ``terms/`` table (term → global df).
-
-    Unlike the term-partitioned layout (where a match set is scattered
-    across shard actors' disjoint vocabularies), here every doc shard
-    may hold postings for every term — so expansion consults the one
-    global dictionary and the expanded terms are then scored by the
-    ordinary scatter-gather path.  Probe structures build lazily, once.
-    """
-
-    def __init__(self, global_df: dict, token_pattern: "str | None",
-                 term_filter: str = "none") -> None:
-        self._df = global_df
-        self._token_pattern = token_pattern
-        # manifest term_filter (e.g. s_stem) — probe normalization must
-        # match _SearcherBase._tokenize so layouts return the same
-        # completions for plural-form prefixes
-        self._term_filter = term_filter
-        self._vocab: "list[str] | None" = None
-        self._deletes: "dict[str, list[str]] | None" = None
-
-    def pairs(self, kind: str, arg: str) -> tuple[str, list]:
-        """(token, matched (term, df) pairs) for an expansion probe."""
-        from refimage_ray.functions.text import tokenize
-        from refimage_ray.query.expand import (
-            build_deletes_index,
-            fuzzy_matches,
-            normalize_probe,
-            prefix_matches,
-            regex_matches,
-            wildcard_matches,
-        )
-
-        probe = normalize_probe(
-            kind, arg,
-            lambda s: tokenize(s, self._token_pattern, self._term_filter),
-        )
-        if kind == "fuzzy":
-            if self._deletes is None:
-                self._deletes = build_deletes_index(self._df)
-            matched = fuzzy_matches(self._deletes, probe)
-        else:
-            if self._vocab is None:
-                self._vocab = sorted(self._df)
-            if kind == "prefix":
-                matched = prefix_matches(self._vocab, probe)
-            elif kind == "wildcard":
-                matched = wildcard_matches(self._vocab, probe)
-            else:
-                matched = regex_matches(self._vocab, probe)
-        return probe, [(t, int(self._df[t])) for t in matched]
-
-    def expand(self, kind: str, arg: str, max_expansions: int) -> list[str]:
-        from refimage_ray.query.expand import cap_expansion
-
-        _, pairs = self.pairs(kind, arg)
-        return cap_expansion(pairs, max_expansions)
-
-    def suggest(self, term: str, max_suggestions: int) -> list[dict]:
-        from refimage_ray.query.expand import rank_suggestions
-
-        tok, pairs = self.pairs("fuzzy", term)
-        return rank_suggestions(pairs, tok, max_suggestions)
-
-
 def _ordered_part(view, hits, cols):
     """One shard's ordered page → (ids, scores, per-col (kind, DECODED
     values, null_mask)) for the cross-shard order merge.  Categorical
@@ -661,7 +596,7 @@ class _ShardGroup:
         ])
 
 
-class _DocPartCoordinator:
+class _DocPartCoordinator(ExpansionOps):
     """Every doc-partitioned operator, implemented once: fan a call
     out to the shard groups, merge the partials.  Each merge is exact
     because doc shards are disjoint — a doc's postings and values live
@@ -675,10 +610,8 @@ class _DocPartCoordinator:
 
     index_dir: str
     manifest: dict
-    # the artifact's global terms table (term → df) and its expansion
-    # probes, loaded on first use
+    # the artifact's global terms table (term → df), loaded on first use
     _global_df: "dict | None" = None
-    _expander: "_GlobalVocabExpander | None" = None
 
     def _open(self, index_dir: str) -> list[str]:
         """Read the manifest; return the shard file names."""
@@ -690,6 +623,8 @@ class _DocPartCoordinator:
         self.manifest = man
         self.n_docs = int(man["stats"]["n_docs"])
         self.avgdl = float(man["stats"]["avgdl"])
+        # the global terms table's expansion probe structures
+        self._expand_cache: dict = {}
         return sorted(
             f for f in os.listdir(index_dir)
             if f.startswith("docshard-") and f.endswith(".parquet")
@@ -964,72 +899,15 @@ class _DocPartCoordinator:
         return tokenize(text, man_cfg.get("token_pattern"),
                         man_cfg.get("term_filter", "none"))
 
-    # --- vocabulary expansion, against the GLOBAL terms table ---
-
-    def _vocab(self) -> _GlobalVocabExpander:
-        if self._expander is None:
-            if self._global_df is None:
-                self._global_df = _load_global_df(self.index_dir)
-            man_cfg = self.manifest["config"]
-            self._expander = _GlobalVocabExpander(
-                self._global_df, man_cfg.get("token_pattern"),
-                man_cfg.get("term_filter", "none"),
-            )
-        return self._expander
-
-    def suggest(self, term: str, max_suggestions: int = 5) -> list[dict]:
-        """Did-you-mean over the global terms table (see
-        ``engine._SearcherBase.suggest``)."""
-        return self._vocab().suggest(term, max_suggestions)
-
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
-        """(term, df) pairs from the global terms table (the engine
-        ABC's vocabulary-browse contract — serve /terms)."""
-        return self._vocab().pairs(kind, arg)[1]
-
-    def _search_expanded(
-        self, kind: str, arg: str, k, threshold, max_expansions: int,
-        where=None, order_by=None, offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        check_page(k, offset)
-        terms = self._vocab().expand(kind, arg, max_expansions)
-        if not terms:
-            return []
-        # expanded terms are tokens, so the joined string re-tokenizes
-        # to exactly this set — identical to an OR query over it
-        return self.search(" ".join(terms), k=k, threshold=threshold,
-                           mode="or", where=where,
-                           order_by=order_by, offset=offset)
-
-    def search_prefix(self, prefix: str, k: int = 10, threshold: float = 0.0,
-                      max_expansions: int = 128,
-                      where=None, order_by=None, offset: int = 0):
-        """Prefix top-k (see ``engine.search_prefix``) — expansion
-        against the global terms table, scoring via the exact
-        scatter-gather path."""
-        return self._search_expanded("prefix", prefix, k, threshold,
-                                     max_expansions, where, order_by, offset)
-
-    def search_fuzzy(self, term: str, k: int = 10, threshold: float = 0.0,
-                     max_expansions: int = 128,
-                     where=None, order_by=None, offset: int = 0):
-        """Levenshtein-≤1 fuzzy top-k (see ``engine.search_fuzzy``)."""
-        return self._search_expanded("fuzzy", term, k, threshold,
-                                     max_expansions, where, order_by, offset)
-
-    def search_wildcard(self, pattern: str, k: int = 10,
-                        threshold: float = 0.0, max_expansions: int = 128,
-                        where=None, order_by=None, offset: int = 0):
-        """Glob wildcard top-k (see ``engine.search_wildcard``)."""
-        return self._search_expanded("wildcard", pattern, k, threshold,
-                                     max_expansions, where, order_by, offset)
-
-    def search_regex(self, pattern: str, k: int = 10, threshold: float = 0.0,
-                     max_expansions: int = 128,
-                     where=None, order_by=None, offset: int = 0):
-        """Anchored-regex top-k (see ``engine.search_regex``)."""
-        return self._search_expanded("regex", pattern, k, threshold,
-                                     max_expansions, where, order_by, offset)
+    def _expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
+        """(term, df) pairs from the GLOBAL terms table: every doc shard
+        may hold postings for every term, so expansion consults the one
+        global dictionary and the expanded terms are then scored by the
+        ordinary scatter-gather path."""
+        if self._global_df is None:
+            self._global_df = _load_global_df(self.index_dir)
+        return expand_vocab(self._global_df, self._global_df.__getitem__,
+                            self._expand_cache, kind, probe)
 
     def search_phrase_prefix(self, phrase: str, k: int = 10,
                              threshold: float = 0.0,
@@ -1044,12 +922,12 @@ class _DocPartCoordinator:
         (per-completion cut lines), ties resolved identically by the
         shared (score desc, doc_id asc) rule."""
         kk = check_page(k, offset)
-        vocab = self._vocab()
         toks = self._tokenize(phrase)
         if not toks:
             return []
         head, last = toks[:-1], toks[-1]
-        expansions = vocab.expand("prefix", last, max_expansions)
+        expansions = cap_expansion(self._expand_pairs("prefix", last),
+                                   max_expansions)
         if not expansions:
             return []
         best: dict[int, float] = {}

@@ -190,14 +190,16 @@ def facet_counts_docpart(sf_dir: str, query: str = "spark vector") -> pa.Table:
 
 def bm25_topk_prefix(sf_dir: str, prefix: str = "s", k: int = 10) -> pa.Table:
     """Prefix top-k (``s*``): term-dictionary expansion → disjunctive
-    BM25 over the matches (Lucene PrefixQuery analog)."""
-    return _hits_table(searcher_for(sf_dir).search_prefix(prefix, k=k))
+    BM25 over the matches (Lucene prefix-query analog)."""
+    return _hits_table(searcher_for(sf_dir).search_expanded("prefix", prefix,
+                                                            k=k))
 
 
 def bm25_topk_fuzzy(sf_dir: str, term: str = "sow", k: int = 10) -> pa.Table:
     """Fuzzy top-k (``sow~``): Levenshtein-≤1 vocabulary expansion via
     a SymSpell deletion neighborhood → disjunctive BM25."""
-    return _hits_table(searcher_for(sf_dir).search_fuzzy(term, k=k))
+    return _hits_table(searcher_for(sf_dir).search_expanded("fuzzy", term,
+                                                            k=k))
 
 
 def bm25_topk_wildcard(
@@ -205,8 +207,9 @@ def bm25_topk_wildcard(
 ) -> pa.Table:
     """Wildcard top-k (``s?a*`` = SQL ``LIKE 's_a%'``): glob expansion
     against the term dictionary → disjunctive BM25 (Lucene
-    WildcardQuery analog)."""
-    return _hits_table(searcher_for(sf_dir).search_wildcard(pattern, k=k))
+    wildcard-query analog)."""
+    return _hits_table(searcher_for(sf_dir).search_expanded(
+        "wildcard", pattern, k=k))
 
 
 def bm25_topk_regex(
@@ -214,7 +217,8 @@ def bm25_topk_regex(
 ) -> pa.Table:
     """Regex top-k (anchored full-match, Lucene RegexpQuery analog):
     the leading-wildcard shape exercises the full-dictionary scan."""
-    return _hits_table(searcher_for(sf_dir).search_regex(pattern, k=k))
+    return _hits_table(searcher_for(sf_dir).search_expanded(
+        "regex", pattern, k=k))
 
 
 def bm25_topk_synonyms(sf_dir: str, query: str = "spark join", k: int = 10) -> pa.Table:

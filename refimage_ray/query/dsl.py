@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
+from refimage_ray.query.expand import EXPANSION_KINDS
+
 TAG_RE = re.compile(r"#(\w+)")
 PHRASE_RE = re.compile(r'"([^"]*)"')
 # quoted phrase + optional proximity suffix: "a b"~2 (slop=2); used at
@@ -52,7 +54,7 @@ PREFIX_TOKEN_RE = re.compile(r"(\w+)\*")
 FUZZY_TOKEN_RE = re.compile(r"(\w+)~")
 # any token containing a glob metachar (superset of the prefix form;
 # extracted in one pass, then classified: single trailing `*` → the
-# cheaper PrefixQuery, anything else → WildcardQuery)
+# cheaper prefix expansion, anything else → a wildcard one)
 WILD_TOKEN_RE = re.compile(r"([\w*?]*[*?][\w*?]*)")
 
 
@@ -114,66 +116,24 @@ class NearQuery(QueryNode):
 
 
 @dataclass
-class PrefixQuery(QueryNode):
-    """Prefix leaf (``netw*`` infix / ``PREFIX("netw")`` function) —
-    beyond the reference's surface; expands against the index's term
-    dictionary and scores the expansion disjunctively
-    (``engine.search_prefix``)."""
+class ExpandQuery(QueryNode):
+    """Vocabulary-expansion leaf — beyond the reference's surface.
+    ``kind`` is one of ``expand.EXPANSION_KINDS``: prefix (``netw*``
+    infix / ``PREFIX("netw")``), fuzzy (``aple~`` / ``FUZZY("aple")``,
+    Levenshtein distance 1), wildcard (``ne?w*k`` /
+    ``WILDCARD("ne?w*k")``, SQL ``LIKE`` semantics) or regex
+    (``REGEX("ne.w[o0]rk")``, function grammar only — regex metachars
+    clash with the infix operators).  Expands ``arg`` against the
+    index's term dictionary and scores the expansion disjunctively
+    (``search_expanded``)."""
 
-    prefix: str
+    kind: str
+    arg: str
     weight: float = 1.0
 
     def execute(self, ctx):
-        hits = ctx.searcher.search_prefix(
-            self.prefix, k=ctx.limit, threshold=ctx.min_score
-        )
-        return {d: s * self.weight for d, s in hits}
-
-
-@dataclass
-class FuzzyQuery(QueryNode):
-    """Fuzzy leaf (``aple~`` infix / ``FUZZY("aple")`` function) —
-    vocabulary terms within Levenshtein distance 1, scored
-    disjunctively (``engine.search_fuzzy``)."""
-
-    term: str
-    weight: float = 1.0
-
-    def execute(self, ctx):
-        hits = ctx.searcher.search_fuzzy(
-            self.term, k=ctx.limit, threshold=ctx.min_score
-        )
-        return {d: s * self.weight for d, s in hits}
-
-
-@dataclass
-class WildcardQuery(QueryNode):
-    """Glob leaf (``ne?w*k`` infix / ``WILDCARD("ne?w*k")`` function):
-    ``*`` = any run, ``?`` = one char — SQL ``LIKE`` semantics.  The
-    expansion is scored disjunctively (``engine.search_wildcard``)."""
-
-    pattern: str
-    weight: float = 1.0
-
-    def execute(self, ctx):
-        hits = ctx.searcher.search_wildcard(
-            self.pattern, k=ctx.limit, threshold=ctx.min_score
-        )
-        return {d: s * self.weight for d, s in hits}
-
-
-@dataclass
-class RegexQuery(QueryNode):
-    """Anchored-regex leaf (``REGEX("ne.w[o0]rk")`` function grammar
-    only — regex metachars clash with the infix operators).  Expands
-    against the term dictionary (``engine.search_regex``)."""
-
-    pattern: str
-    weight: float = 1.0
-
-    def execute(self, ctx):
-        hits = ctx.searcher.search_regex(
-            self.pattern, k=ctx.limit, threshold=ctx.min_score
+        hits = ctx.searcher.search_expanded(
+            self.kind, self.arg, k=ctx.limit, threshold=ctx.min_score
         )
         return {d: s * self.weight for d, s in hits}
 
@@ -360,22 +320,10 @@ class DSLParser:
                 raise DSLParseError(
                     f"NEAR() window must be <= {2**31 - 1}")
             return NearQuery(args[0], window=window)
-        if name == "PREFIX":
+        if name.lower() in EXPANSION_KINDS:
             if len(args) != 1 or not isinstance(args[0], str):
-                raise DSLParseError("PREFIX() takes one string")
-            return PrefixQuery(args[0])
-        if name == "FUZZY":
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise DSLParseError("FUZZY() takes one string")
-            return FuzzyQuery(args[0])
-        if name == "WILDCARD":
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise DSLParseError("WILDCARD() takes one string")
-            return WildcardQuery(args[0])
-        if name == "REGEX":
-            if len(args) != 1 or not isinstance(args[0], str):
-                raise DSLParseError("REGEX() takes one string")
-            return RegexQuery(args[0])
+                raise DSLParseError(f"{name}() takes one string")
+            return ExpandQuery(name.lower(), args[0])
         if name == "TAG":
             if not args or not all(isinstance(a, str) for a in args):
                 raise DSLParseError("TAG() takes strings")
@@ -397,8 +345,7 @@ class DSLParser:
                 raise DSLParseError("WEIGHT() takes (expr, number)")
             node = as_node(args[0])
             if isinstance(
-                node, (TextQuery, TagFilter, PhraseQuery, PrefixQuery,
-                       FuzzyQuery, WildcardQuery, RegexQuery)
+                node, (TextQuery, TagFilter, PhraseQuery, ExpandQuery)
             ):
                 node.weight = args[1]
                 return node
@@ -471,12 +418,9 @@ class DSLParser:
         for ph, slop in phrases:
             if ph.strip():
                 leaves.append(PhraseQuery(ph, weight, slop))
-        for p in prefixes:
-            leaves.append(PrefixQuery(p, weight))
-        for w in wildcards:
-            leaves.append(WildcardQuery(w, weight))
-        for f in fuzzies:
-            leaves.append(FuzzyQuery(f, weight))
+        for kind, probes in (("prefix", prefixes), ("wildcard", wildcards),
+                             ("fuzzy", fuzzies)):
+            leaves += [ExpandQuery(kind, a, weight) for a in probes]
         if tags:
             leaves.append(TagFilter(tags, "any", weight))
         if not leaves:

@@ -51,6 +51,7 @@ from refimage_ray.index.reader import (
     attach_ranks,
     load_doc_universe,
 )
+from refimage_ray.query.expand import ExpansionOps, cap_expansion, expand_vocab
 from refimage_ray.query.scorer import idf as _idf
 from refimage_ray.query.scorer import check_page, query_terms, topk_select
 
@@ -369,7 +370,7 @@ def _score_conjunctive(
     return candidates, scores
 
 
-class _SearcherBase:
+class _SearcherBase(ExpansionOps):
     n_docs: int
     avgdl: float = 1.0
     # sorted doc_id universe for dense-rank TAAT (None → sparse paths)
@@ -400,7 +401,7 @@ class _SearcherBase:
         if self.all_ids is None or not hasattr(self, "index_dir"):
             raise ValueError(
                 "doc values require a searcher with a resident doc_id "
-                "universe (dense_ranks=True) and an index_dir"
+                "universe and an index_dir"
             )
         from refimage_ray.index.docvalues import load_doc_values
 
@@ -420,10 +421,26 @@ class _SearcherBase:
         subset of the universe)."""
         if self.all_ids is None:
             raise ValueError(
-                "filtered/faceted search requires dense_ranks=True "
-                "(doc-value masks are rank-aligned)"
+                "filtered/faceted search requires a searcher with a "
+                "resident doc_id universe (doc-value masks are rank-aligned)"
             )
         return np.searchsorted(self.all_ids, ids)
+
+    def _doc_texts(self, ids: np.ndarray) -> dict:
+        """doc_id → stored text for ``ids``, from the artifact's
+        ``docs/`` store — the text-verify fallback of the positional
+        operators (phrase, phrase_prefix, near, rescore) on an artifact
+        built without positions."""
+        index_dir = getattr(self, "index_dir", None)
+        if index_dir is None:
+            raise ValueError(
+                "this searcher has no docs/ text store to verify against; "
+                "build the artifact with store_positions=True"
+            )
+        t = pads.dataset(os.path.join(index_dir, "docs")).to_table(
+            columns=["doc_id", "text"],
+            filter=pc.field("doc_id").isin(ids.tolist()))
+        return dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
 
     def _match_ranks_scores(
         self,
@@ -590,89 +607,6 @@ class _SearcherBase:
         scores = np.bincount(codes, weights=np.concatenate(parts_scores))
         ids, sc = topk_select(uniq.astype(np.int64), scores, k, threshold)
         return [(int(d), float(s)) for d, s in zip(ids, sc)]
-
-    # --- multi-term expansion queries (prefix / fuzzy) ---
-
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
-        """(term, df) pairs of vocabulary terms matching an expansion
-        probe — resolved against the resident term dictionary."""
-        raise NotImplementedError
-
-    def _search_expanded(
-        self, kind: str, arg: str, k: int, threshold: float,
-        prune: "bool | str", scorer: str, max_expansions: int, where=None,
-        order_by=None, offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        from refimage_ray.query.expand import cap_expansion, normalize_probe
-
-        kk = check_page(k, offset)
-        probe = normalize_probe(kind, arg, self._tokenize)
-        terms = cap_expansion(self._expand_pairs(kind, probe), max_expansions)
-        if not terms:
-            return []
-        term_map = self._term_map(terms)
-        return self._finish_search(
-            term_map, terms, kk, threshold, "or", prune, scorer, where,
-            order_by,
-        )[offset:]
-
-    def search_prefix(
-        self, prefix: str, k: int = 10, threshold: float = 0.0,
-        prune: "bool | str" = True, scorer: str = "bm25",
-        max_expansions: int = 128,
-        where=None, order_by=None, offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Prefix top-k (``netw*``): expand against the term dictionary,
-        score the expansion as an ordinary disjunctive query — results
-        identical to ``search(" ".join(expansion))``."""
-        return self._search_expanded(
-            "prefix", prefix, k, threshold, prune, scorer,
-            max_expansions, where, order_by, offset,
-        )
-
-    def search_fuzzy(
-        self, term: str, k: int = 10, threshold: float = 0.0,
-        prune: "bool | str" = True, scorer: str = "bm25",
-        max_expansions: int = 128,
-        where=None, order_by=None, offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Fuzzy top-k (``aple~``): all vocabulary terms within
-        Levenshtein distance 1 (SymSpell deletion neighborhood, built
-        once per resident dictionary), scored disjunctively."""
-        return self._search_expanded(
-            "fuzzy", term, k, threshold, prune, scorer,
-            max_expansions, where, order_by, offset,
-        )
-
-    def search_wildcard(
-        self, pattern: str, k: int = 10, threshold: float = 0.0,
-        prune: "bool | str" = True, scorer: str = "bm25",
-        max_expansions: int = 128,
-        where=None, order_by=None, offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Wildcard top-k (``ne?w*k``, Lucene WildcardQuery): glob
-        expansion against the term dictionary (``*`` any run, ``?``
-        one char — exactly SQL ``LIKE``'s ``%``/``_``), scored as an
-        ordinary disjunctive query.  A leading literal bounds the
-        vocab scan to a prefix range."""
-        return self._search_expanded(
-            "wildcard", pattern, k, threshold, prune, scorer,
-            max_expansions, where, order_by, offset,
-        )
-
-    def search_regex(
-        self, pattern: str, k: int = 10, threshold: float = 0.0,
-        prune: "bool | str" = True, scorer: str = "bm25",
-        max_expansions: int = 128,
-        where=None, order_by=None, offset: int = 0,
-    ) -> list[tuple[int, float]]:
-        """Regex top-k (Lucene RegexpQuery): vocabulary terms fully
-        matching an anchored regex, scored disjunctively.  Terms are
-        lowercase, so patterns should be too."""
-        return self._search_expanded(
-            "regex", pattern, k, threshold, prune, scorer,
-            max_expansions, where, order_by, offset,
-        )
 
     def _finish_search(
         self,
@@ -893,13 +827,8 @@ class _SearcherBase:
         else:
             # fallback: fetch candidate texts and re-tokenize (exact, but
             # requires the docs artifact; positional indexes skip this IO)
-            import os
-
-            ds = pads.dataset(os.path.join(self.index_dir, "docs"))
-            t = ds.to_table(columns=["doc_id", "text"],
-                            filter=pc.field("doc_id").isin(cand.tolist()))
             ok_ids = {
-                d for d, txt in zip(t["doc_id"].to_pylist(), t["text"].to_pylist())
+                d for d, txt in self._doc_texts(cand).items()
                 if _contains_phrase(self._tokenize(txt), phrase_tokens, slop)
             }
             keep = np.array([d in ok_ids for d in cand.tolist()], dtype=bool)
@@ -928,8 +857,6 @@ class _SearcherBase:
         on position-free artifacts, against candidate texts fetched
         ONCE for the union across completions), and full match sets
         merge under max-score before a single global top-k cut."""
-        from refimage_ray.query.expand import cap_expansion
-
         kk = check_page(k, offset)
         toks = self._tokenize(phrase)
         if not toks:
@@ -960,17 +887,9 @@ class _SearcherBase:
         ):
             # text fallback: ONE docs fetch + tokenize for the union
             # of candidates across completions
-            import os
-
             union = np.unique(np.concatenate([c for _, c, _ in per_exp]))
-            ds = pads.dataset(os.path.join(self.index_dir, "docs"))
-            t = ds.to_table(columns=["doc_id", "text"],
-                            filter=pc.field("doc_id").isin(union.tolist()))
-            texts_toks = {
-                d: self._tokenize(txt)
-                for d, txt in zip(t["doc_id"].to_pylist(),
-                                  t["text"].to_pylist())
-            }
+            texts_toks = {d: self._tokenize(txt)
+                          for d, txt in self._doc_texts(union).items()}
         best: dict[int, float] = {}
         for e, cand, scores in per_exp:
             toks_e = [*head, e]
@@ -1037,14 +956,8 @@ class _SearcherBase:
         if positional:
             keep = _verify_near_positions(term_map, terms, cand, window)
         else:
-            import os
-
-            ds = pads.dataset(os.path.join(self.index_dir, "docs"))
-            t = ds.to_table(columns=["doc_id", "text"],
-                            filter=pc.field("doc_id").isin(cand.tolist()))
             ok_ids = {
-                d for d, txt in zip(t["doc_id"].to_pylist(),
-                                    t["text"].to_pylist())
+                d for d, txt in self._doc_texts(cand).items()
                 if _contains_near(self._tokenize(txt), terms, window)
             }
             keep = np.array([d in ok_ids for d in cand.tolist()], dtype=bool)
@@ -1098,27 +1011,11 @@ class _SearcherBase:
             if positional:
                 return _min_pair_gaps_positions(term_map, terms, cand_s)
             return _min_pair_gaps_texts(
-                self.index_dir, terms, cand_s, self._tokenize
+                self._doc_texts(cand_s), terms, cand_s, self._tokenize
             )
 
         return _rescore_combine(base, gaps_of, k, query_weight,
                                 rescore_weight)
-
-    def suggest(self, term: str, max_suggestions: int = 5) -> list[dict]:
-        """Spell suggestion ("did you mean"): vocabulary terms within
-        Levenshtein ≤ 1 of the input, ranked (exact first, then df
-        desc, term asc) with their document frequencies — the fuzzy
-        machinery's user-facing completion (Lucene's
-        DirectSpellChecker shape).  Empty list = no nearby vocabulary
-        term; an exact vocabulary hit ranks first by definition."""
-        from refimage_ray.query.expand import rank_suggestions
-
-        toks = self._tokenize(term)
-        if len(toks) != 1:
-            raise ValueError(f"suggest takes exactly one term, got {term!r}")
-        return rank_suggestions(
-            self._expand_pairs("fuzzy", toks[0]), toks[0], max_suggestions
-        )
 
     def search_grouped(
         self,
@@ -1711,17 +1608,11 @@ def _min_pair_gaps_positions(
 
 
 def _min_pair_gaps_texts(
-    index_dir: str, terms: list[str], cand: np.ndarray, tokenize,
+    texts: dict, terms: list[str], cand: np.ndarray, tokenize,
 ) -> np.ndarray:
-    """Text-fallback twin of ``_min_pair_gaps_positions``: fetch the
-    candidate texts (bounded by the rescore window) and compute each
-    doc's min pairwise gap from re-tokenized occurrence lists."""
-    import os
-
-    ds = pads.dataset(os.path.join(index_dir, "docs"))
-    t = ds.to_table(columns=["doc_id", "text"],
-                    filter=pc.field("doc_id").isin(cand.tolist()))
-    texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
+    """Text-fallback twin of ``_min_pair_gaps_positions``: each
+    candidate's min pairwise gap from its re-tokenized text (``texts``:
+    doc_id → text, bounded by the rescore window)."""
     tset = set(query_terms(terms))
     g = np.full(len(cand), np.inf)
     for ci, d in enumerate(cand.tolist()):
@@ -1781,40 +1672,6 @@ def _after_mask(
     return (scores < a_score) | ((scores == a_score) & (ids > a_id))
 
 
-def _expand_resident(
-    terms: dict[str, TermPostings], cache: dict, kind: str, arg: str
-) -> list[tuple[str, int]]:
-    """Expansion over a resident term dictionary with lazy, build-once
-    probe structures (sorted vocab / deletion-neighborhood index) —
-    the per-actor analog of a stateful stage's ``__init__`` work,
-    except the structure is only paid for on the first expansion
-    query, not at load."""
-    from refimage_ray.query.expand import (
-        build_deletes_index,
-        fuzzy_matches,
-        prefix_matches,
-        regex_matches,
-        wildcard_matches,
-    )
-
-    if kind == "fuzzy":
-        if "deletes" not in cache:
-            cache["deletes"] = build_deletes_index(terms)
-        matched = fuzzy_matches(cache["deletes"], arg)
-    else:
-        if "vocab" not in cache:
-            cache["vocab"] = sorted(terms)
-        if kind == "prefix":
-            matched = prefix_matches(cache["vocab"], arg)
-        elif kind == "wildcard":
-            matched = wildcard_matches(cache["vocab"], arg)
-        elif kind == "regex":
-            matched = regex_matches(cache["vocab"], arg)
-        else:
-            raise ValueError(f"unknown expansion kind {kind!r}")
-    return [(t, terms[t].df) for t in matched]
-
-
 class LocalSearcher(_SearcherBase):
     """Whole index resident in one process (reference: FAISS + id list,
     ``search/__init__.py:57-60``)."""
@@ -1834,8 +1691,9 @@ class LocalSearcher(_SearcherBase):
     def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
         return self.terms
 
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
-        return _expand_resident(self.terms, self._expand_cache, kind, arg)
+    def _expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
+        return expand_vocab(self.terms, lambda t: self.terms[t].df,
+                            self._expand_cache, kind, probe)
 
 
 class ShardSearcher:
@@ -1849,11 +1707,12 @@ class ShardSearcher:
         # scores from any actor subset
         attach_ranks(self.terms, load_doc_universe(index_dir))
 
-    def expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
+    def expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
         """Expansion probe against THIS actor's resident vocabulary —
         term-hash routing scatters a prefix/fuzzy match set across
         shards, so the driver broadcasts the probe and unions."""
-        return _expand_resident(self.terms, self._expand_cache, kind, arg)
+        return expand_vocab(self.terms, lambda t: self.terms[t].df,
+                            self._expand_cache, kind, probe)
 
     def term_postings(self, terms: list[str]) -> dict[str, tuple]:
         out = {}
@@ -2016,7 +1875,7 @@ class DistributedSearcher(_SearcherBase):
     def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
         return self._gather_term_map(self._issue_term_map(terms))
 
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
+    def _expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
         """Scatter the expansion probe to every shard actor (the match
         set is term-hash-scattered), union the per-shard (term, df)
         pairs.  Each shard owns a disjoint term set, so the union is a
@@ -2025,7 +1884,7 @@ class DistributedSearcher(_SearcherBase):
 
         out: list[tuple[str, int]] = []
         for res in ray.get(
-            [a.expand_pairs.remote(kind, arg) for a in self.actors]
+            [a.expand_pairs.remote(kind, probe) for a in self.actors]
         ):
             out.extend(res)
         return out

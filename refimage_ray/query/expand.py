@@ -1,19 +1,24 @@
-"""Query-time term expansion: prefix, fuzzy (edit-distance ≤ 1), synonyms.
+"""Query-time term expansion: prefix, fuzzy (edit-distance ≤ 1),
+wildcard, regex, synonyms.
 
 The reference's query surface matches exact terms only
 (``/root/reference/src/refimage/dsl.py`` — free text, tags, boolean
 ops); these are the classic full-text extensions layered on top
-(Lucene's PrefixQuery / FuzzyQuery / SynonymFilter equivalents),
-re-expressed for a sharded vocabulary:
+(the analogs of Lucene's prefix, fuzzy, wildcard and regexp queries
+and its synonym filter), re-expressed for a sharded vocabulary:
 
-- every expansion is resolved against the *resident term dictionary*
-  of each shard actor (prefix: binary search over a sorted vocab;
-  fuzzy: a SymSpell-style deletion-neighborhood index) — built lazily
-  ONCE per actor on first use, never per query;
-- the driver unions per-shard matches, caps them deterministically
+- every expansion is resolved against a *resident term dictionary*
+  (a shard actor's, the whole index's, the doc-partitioned layout's
+  global ``terms/`` table or the NRT buffer's) by one dispatcher,
+  :func:`expand_vocab` (prefix, wildcard, regex: binary search over a
+  sorted vocab; fuzzy: a SymSpell-style deletion-neighborhood index) —
+  the probe structures are built lazily ONCE per dictionary on first
+  use, never per query;
+- the caller unions per-shard matches, caps them deterministically
   (df desc, term asc — prefer frequent terms, like Lucene's
   ``maxExpansions``), and scores the expanded set through the ordinary
-  disjunctive BM25 path.
+  disjunctive BM25 path (:class:`ExpansionOps`, written once for every
+  searcher).
 
 So an expanded query is *exactly equivalent* to an OR query over its
 expansion — which is what makes the SQL oracles possible
@@ -25,6 +30,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+
+from refimage_ray.query.scorer import check_page
 
 
 def prefix_matches(vocab_sorted: list[str], prefix: str) -> list[str]:
@@ -112,8 +119,8 @@ def lev1_regex(term: str) -> str:
 
 
 def wildcard_to_regex(pattern: str) -> str:
-    """Glob → regex translation for wildcard term queries (Lucene
-    WildcardQuery semantics): ``*`` = any run (incl. empty), ``?`` =
+    """Glob → regex translation for wildcard term queries (Lucene's
+    wildcard-query semantics): ``*`` = any run (incl. empty), ``?`` =
     exactly one char, everything else literal.  Mirrors SQL ``LIKE``
     (``%`` / ``_``) exactly, which is what makes the value oracle
     possible."""
@@ -160,6 +167,44 @@ def regex_matches(vocab_sorted: list[str], pattern: str) -> list[str]:
         pre.append(ch)
     cands = prefix_matches(vocab_sorted, "".join(pre))
     return [t for t in cands if rx.fullmatch(t)]
+
+
+#: The expansion kinds, in the order the operators document them.
+EXPANSION_KINDS = ("prefix", "fuzzy", "wildcard", "regex")
+
+#: kind → matcher over the sorted vocabulary (fuzzy probes the
+#: deletion-neighborhood index instead)
+_SORTED_MATCHERS = {
+    "prefix": prefix_matches,
+    "wildcard": wildcard_matches,
+    "regex": regex_matches,
+}
+
+
+def expand_vocab(vocab, df_of, cache: dict, kind: str,
+                 probe: str) -> list[tuple[str, int]]:
+    """(term, df) pairs of the ``vocab`` terms a NORMALIZED probe
+    (:func:`normalize_probe`) matches, in term order — the one
+    expansion dispatch every searcher uses.
+
+    ``vocab`` is any collection of the dictionary's terms (a resident
+    term → postings map, the global ``terms/`` table, the NRT buffer's
+    term → df map); it is read only to build the probe structures,
+    which go into the caller's ``cache`` on first use (sorted vocab for
+    prefix/wildcard/regex, deletion index for fuzzy) and are reused
+    for as long as the caller keeps that cache.  ``df_of`` maps a
+    matched term to its document frequency."""
+    if kind == "fuzzy":
+        if "deletes" not in cache:
+            cache["deletes"] = build_deletes_index(vocab)
+        matched = fuzzy_matches(cache["deletes"], probe)
+    elif kind in _SORTED_MATCHERS:
+        if "vocab" not in cache:
+            cache["vocab"] = sorted(vocab)
+        matched = _SORTED_MATCHERS[kind](cache["vocab"], probe)
+    else:
+        raise ValueError(f"unknown expansion kind {kind!r}")
+    return [(t, int(df_of(t))) for t in matched]
 
 
 def normalize_probe(kind: str, arg: str, tokenize_fn) -> str:
@@ -229,3 +274,59 @@ def expand_synonyms(
         for syn in mapping.get(t, ()):
             out.update(tokenize_fn(syn))
     return sorted(out)
+
+
+class ExpansionOps:
+    """The vocabulary-expansion operators, written once for every
+    searcher flavor (``engine._SearcherBase`` and the doc-partitioned
+    coordinator inherit them).  A subclass supplies ``_tokenize`` (the
+    artifact's analyzer), ``search`` and :meth:`_expand_pairs`."""
+
+    def _expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
+        """(term, df) pairs of the vocabulary terms an ALREADY
+        normalized expansion probe matches (:func:`expand_vocab` over
+        the searcher's dictionary)."""
+        raise NotImplementedError
+
+    def search_expanded(
+        self, kind: str, arg: str, /, k: int = 10, threshold: float = 0.0,
+        max_expansions: int = 128, where=None, order_by=None,
+        offset: int = 0,
+    ) -> list[tuple[int, float]]:
+        """Expansion top-k: ``arg`` is expanded against the term
+        dictionary and the expansion (capped by :func:`cap_expansion`)
+        is scored as an ordinary disjunctive query — results identical
+        to ``search(" ".join(expansion))``.  ``kind`` is one of
+        :data:`EXPANSION_KINDS`:
+
+        - ``prefix`` (``netw*``): the terms starting with ``arg``;
+        - ``fuzzy`` (``aple~``): the terms within Levenshtein distance
+          1 of ``arg``;
+        - ``wildcard`` (``ne?w*k``): a glob — ``*`` any run, ``?`` one
+          char, exactly SQL ``LIKE``'s ``%``/``_``; a leading literal
+          bounds the vocabulary scan to a prefix range;
+        - ``regex``: the terms fully matching an anchored regex (terms
+          are lowercase, so patterns should be too)."""
+        check_page(k, offset)
+        probe = normalize_probe(kind, arg, self._tokenize)
+        terms = cap_expansion(self._expand_pairs(kind, probe), max_expansions)
+        if not terms:
+            return []
+        # expanded terms are tokens, so the joined string re-tokenizes
+        # to exactly this set, in the order query_terms gives
+        return self.search(" ".join(terms), k=k, threshold=threshold,
+                           mode="or", where=where, order_by=order_by,
+                           offset=offset)
+
+    def suggest(self, term: str, max_suggestions: int = 5) -> list[dict]:
+        """Spell suggestion ("did you mean"): vocabulary terms within
+        Levenshtein ≤ 1 of the input, ranked (exact first, then df
+        desc, term asc) with their document frequencies — the fuzzy
+        machinery's user-facing completion (Lucene's
+        DirectSpellChecker shape).  Empty list = no nearby vocabulary
+        term; an exact vocabulary hit ranks first by definition."""
+        toks = self._tokenize(term)
+        if len(toks) != 1:
+            raise ValueError(f"suggest takes exactly one term, got {term!r}")
+        return rank_suggestions(self._expand_pairs("fuzzy", toks[0]),
+                                toks[0], max_suggestions)

@@ -65,7 +65,6 @@ class MultiSearcher(_SearcherBase):
         # cross-artifact re-rank of every posting at load; doc-value
         # features stay per-artifact (merge_indexes is the path there)
         self.all_ids = None
-        self._expand_cache: dict = {}
 
     def _term_map(self, terms: list[str]) -> dict[str, TermPostings]:
         out: dict[str, TermPostings] = {}
@@ -90,9 +89,9 @@ class MultiSearcher(_SearcherBase):
                                       self.avgdl, self._k1, self._b)
         return out
 
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
+    def _expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
         merged: dict[str, int] = {}
         for p in self.parts:
-            for t, df in p._expand_pairs(kind, arg):
+            for t, df in p._expand_pairs(kind, probe):
                 merged[t] = merged.get(t, 0) + df
         return sorted(merged.items())

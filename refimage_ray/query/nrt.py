@@ -52,6 +52,7 @@ from refimage_ray.index.docpart import (
 from refimage_ray.index.manifest import load_manifest
 from refimage_ray.index.reader import TermPostings
 from refimage_ray.query.engine import LocalSearcher, _SearcherBase
+from refimage_ray.query.expand import expand_vocab
 from refimage_ray.query.scorer import bm25_weight
 
 #: Per-searcher (per-shard, for the doc-partitioned wrap) cap on the
@@ -514,24 +515,16 @@ class DeltaSearcher(_NRTBuffer, _MergedView):
         add_documents(self.index_dir, ds, out_dir,
                       cfg if cfg is not None else DEFAULT_CONFIG)
 
-    def _expand_pairs(self, kind: str, arg: str) -> list[tuple[str, int]]:
-        # expansion probes must see buffered vocabulary too; merge the
-        # base's resident expansion with a probe over the buffer terms
-        from refimage_ray.query.engine import _expand_resident
-
-        base_pairs = dict(self.base._expand_pairs(kind, arg))
+    def _expand_pairs(self, kind: str, probe: str) -> list[tuple[str, int]]:
+        # expansion probes must see buffered vocabulary too: the base's
+        # resident expansion plus a probe over the buffered terms (whose
+        # probe structures are rebuilt per call — every add changes them)
+        pairs = dict(self.base._expand_pairs(kind, probe))
         buf_dfs = self._buf.term_dfs()
-        if buf_dfs:
-            fake = {
-                t: TermPostings(
-                    df=df, doc_ids=None, weights=None, tfs=None,
-                    max_weight=0.0, block_last_doc=None, block_max_weight=None,
-                )
-                for t, df in buf_dfs.items()
-            }
-            for t, df in _expand_resident(fake, {}, kind, arg):
-                base_pairs[t] = base_pairs.get(t, 0) + df
-        return sorted(base_pairs.items())
+        for t, df in expand_vocab(buf_dfs, buf_dfs.__getitem__, {}, kind,
+                                  probe):
+            pairs[t] = pairs.get(t, 0) + df
+        return sorted(pairs.items())
 
 
 class _DeltaShardWrap(_MergedView):
@@ -633,15 +626,13 @@ class DocPartDeltaSearcher(_NRTBuffer, _DocPartCoordinator):
 
 #: DocPartDeltaSearcher operators that read positions or the
 #: vocabulary, which only a built artifact holds → the name their
-#: refusal gives.  Each raises a ValueError (a 422 on serve, not an
-#: AttributeError 500) until the buffer is flushed.
+#: refusal gives, formatted with the call's positional arguments (an
+#: expansion is named by its kind).  Each raises a ValueError (a 422 on
+#: serve, not an AttributeError 500) until the buffer is flushed.
 _NEEDS_FLUSH = {
     "search_phrase": "phrase",
     "search_near": "NEAR",
-    "search_prefix": "prefix",
-    "search_fuzzy": "fuzzy",
-    "search_wildcard": "wildcard",
-    "search_regex": "regex",
+    "search_expanded": "{0}",
     "search_phrase_prefix": "phrase_prefix",
     "search_rescore": "rescore",
     "search_many": "batch (search_many)",
@@ -656,8 +647,8 @@ _NEEDS_FLUSH = {
 def _refusal(what: str):
     def refuse(self, *a, **k):
         raise ValueError(
-            f"{what} queries over the docpart NRT buffer need a "
-            "flush() first (positions/vocabulary structures are "
+            f"{what.format(*a)} queries over the docpart NRT buffer need "
+            "a flush() first (positions/vocabulary structures are "
             "artifact-side)"
         )
     return refuse

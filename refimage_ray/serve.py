@@ -38,7 +38,7 @@ Route map (reference analog → here):
 
 - ``GET /health``                      (``api.py`` health)          → index stats probe
 - ``GET /stats``                       (storage stats rollup)       → manifest stats
-- ``GET /search?q=&k=&mode=``          (or/and/phrase/phrase_prefix/near/prefix/fuzzy/wildcard/regex)  → ``searcher.search`` / ``search_phrase`` / ``search_phrase_prefix`` / ``search_near`` / ``search_prefix`` / ``search_fuzzy`` / ``search_wildcard`` / ``search_regex`` (``_MODES``) + metadata join (``ResidentDocs.fragments``: searchsorted on the resident doc_id-sorted docs table, each row's JSON rendered on its first hit and kept with that snapshot, which is re-validated per request by a ``docs/`` stat signature — metadata PUTs, adds and compaction show without /reload)
+- ``GET /search?q=&k=&mode=``          (or/and/phrase/phrase_prefix/near/prefix/fuzzy/wildcard/regex)  → ``searcher.search`` / ``search_phrase`` / ``search_phrase_prefix`` / ``search_near`` / ``search_expanded(mode, q)`` for the four expansion kinds (``_MODES``) + metadata join (``ResidentDocs.fragments``: searchsorted on the resident doc_id-sorted docs table, each row's JSON rendered on its first hit and kept with that snapshot, which is re-validated per request by a ``docs/`` stat signature — metadata PUTs, adds and compaction show without /reload)
   (``&slop=N`` with mode=phrase: ordered proximity, ≤N interleaved tokens per step;
   mode=phrase_prefix: last token treated as a prefix (search-as-you-type);
   ``&window=W`` with mode=near: unordered proximity, all terms within a W-token span;
@@ -51,7 +51,7 @@ Route map (reference analog → here):
 - ``GET /composite?q=&by=&size=&after=`` (ES composite aggregation) → ``searcher.composite`` (bounded bucket pages over categorical doc values)
 - ``GET /count?q=&mode=&filter=&min_match=`` (ES ``_count`` analog; the reference reports result counts on list endpoints, ``api.py:397-409``) → ``searcher.count`` (exact match-set size, no scoring)
 - ``GET /significant?q=&sample=&min_count=&top=`` (ES significant_terms) → ``engine.significant_terms`` (relative-risk vs corpus background over the top-sample)
-- ``GET /terms?prefix=&max=``          (ES ``_terms_enum``)           → vocabulary browse (term asc + df, resident dictionary)
+- ``GET /terms?prefix=&max=``          (ES ``_terms_enum``)           → vocabulary browse (term asc + df, resident dictionary or the doc-partitioned global ``terms/`` table; an empty prefix lists the vocabulary)
 - ``GET /suggest?q=&k=&mode=``         ("did you mean")              → ``searcher.suggest`` (Levenshtein-≤1 vocabulary neighbors, df-ranked); ``mode=phrase``: bigram-LM ``PhraseSuggester``
 - ``GET /docs/{id}/explain?q=&mode=``  (Lucene explain analog)       → ``engine.explain_score`` (per-term contributions, bit-exact sum)
 - ``GET /docs/{id}/similar?k=&self=``  (more-like-this)              → ``engine.more_like_this`` + metadata join
@@ -92,6 +92,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from refimage_ray.index.manifest import load_manifest
+from refimage_ray.query.expand import EXPANSION_KINDS
 
 _DOC_RE = re.compile(
     r"^/docs/(\d+)(/file|/metadata|/similar|/explain|/termvectors)?$"
@@ -740,10 +741,8 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
         # unordered proximity: all terms within a `window`-token span
         "near": ("search_near", False,
                  lambda p: {"window": p.int("window", 5)}),
-        "prefix": ("search_prefix", True, None),
-        "fuzzy": ("search_fuzzy", True, None),
-        "wildcard": ("search_wildcard", True, None),
-        "regex": ("search_regex", True, None),
+        # vocabulary expansion: the mode names the kind
+        **dict.fromkeys(EXPANSION_KINDS, ("search_expanded", True, None)),
     }
 
     @route("GET", "/search", {FileNotFoundError: (
@@ -765,16 +764,15 @@ def make_server(index_dir: str, port: int = 0, searcher=None,
             if where or order or offset:
                 raise ValueError("filter/order/offset not supported with "
                                  "rescore_window")
-            if not hasattr(s, "search_rescore"):
-                raise ValueError("rescore_window is not supported by this "
-                                 "searcher (doc-partitioned serving)")
             hits = s.search_rescore(
                 q, k=k, mode=mode, window=p.int("rescore_window"),
                 rescore_weight=p.float("rescore_weight", 1.0))
         else:
+            op = getattr(s, meth)
+            if meth == "search_expanded":
+                op = functools.partial(op, mode)
             kw = {"where": where, "order_by": order} if filtered else {}
-            hits = getattr(s, meth)(q, k=k, offset=offset, **kw,
-                                    **(own(p) if own else {}))
+            hits = op(q, k=k, offset=offset, **kw, **(own(p) if own else {}))
         if p.text("snippets") == "1":
             from refimage_ray.query.snippets import snippets_for_hits
 

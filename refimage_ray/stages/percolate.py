@@ -40,17 +40,14 @@ from refimage_ray.functions.text import tokenize
 from refimage_ray.query.dsl import (
     AndQuery,
     DSLParser,
-    FuzzyQuery,
+    ExpandQuery,
     NotQuery,
     OrQuery,
     NearQuery,
     PhraseQuery,
-    PrefixQuery,
     QueryNode,
-    RegexQuery,
     TagFilter,
     TextQuery,
-    WildcardQuery,
 )
 from refimage_ray.query.expand import lev1_regex, normalize_probe, wildcard_to_regex
 
@@ -244,6 +241,16 @@ def _near_mask(node, ctx: _BatchContext) -> np.ndarray:
     return keep
 
 
+#: expansion kind → the anchored regex over the batch dictionary that
+#: matches exactly the terms its normalized probe expands to
+_KIND_REGEX = {
+    "prefix": lambda probe: "^" + re.escape(probe),
+    "fuzzy": lev1_regex,
+    "wildcard": lambda probe: "^(?:" + wildcard_to_regex(probe) + ")$",
+    "regex": lambda probe: f"^(?:{probe})$",
+}
+
+
 def _eval(node: QueryNode, ctx: _BatchContext) -> np.ndarray:
     """Boolean membership mask over the batch's rows.  Weights are
     irrelevant for percolation (boolean matching, like ES percolate)."""
@@ -254,30 +261,13 @@ def _eval(node: QueryNode, ctx: _BatchContext) -> np.ndarray:
         return _near_mask(node, ctx)
     if isinstance(node, PhraseQuery):
         return _phrase_mask(node, ctx)
-    if isinstance(node, PrefixQuery):
+    if isinstance(node, ExpandQuery):
         probe = normalize_probe(
-            "prefix", node.prefix, lambda s: tokenize(s, ctx.cfg.token_pattern)
+            node.kind, node.arg, lambda s: tokenize(s, ctx.cfg.token_pattern)
         )
         return ctx.mask_of_term_ids(
-            ctx.ids_matching_regex("^" + re.escape(probe))
+            ctx.ids_matching_regex(_KIND_REGEX[node.kind](probe))
         )
-    if isinstance(node, WildcardQuery):
-        probe = normalize_probe(
-            "wildcard", node.pattern, lambda s: tokenize(s, ctx.cfg.token_pattern)
-        )
-        return ctx.mask_of_term_ids(
-            ctx.ids_matching_regex("^(?:" + wildcard_to_regex(probe) + ")$")
-        )
-    if isinstance(node, FuzzyQuery):
-        probe = normalize_probe(
-            "fuzzy", node.term, lambda s: tokenize(s, ctx.cfg.token_pattern)
-        )
-        return ctx.mask_of_term_ids(ctx.ids_matching_regex(lev1_regex(probe)))
-    if isinstance(node, RegexQuery):
-        probe = normalize_probe(
-            "regex", node.pattern, lambda s: tokenize(s, ctx.cfg.token_pattern)
-        )
-        return ctx.mask_of_term_ids(ctx.ids_matching_regex(f"^(?:{probe})$"))
     if isinstance(node, TagFilter):
         return _tag_mask(node, ctx)
     if isinstance(node, AndQuery):

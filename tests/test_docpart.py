@@ -512,7 +512,7 @@ def test_negative_offset_raises_on_every_docpart_path(both_indexes):
         dist.search_many(["the data join"], k=10, offset=-3)
     for s in (local, dist):
         with pytest.raises(ValueError, match="offset"):
-            s.search_prefix("dat", k=5, offset=-1)
+            s.search_expanded("prefix", "dat", k=5, offset=-1)
         with pytest.raises(ValueError, match="offset"):
             s.search("the data", k=5, order_by=("lang", "asc"), offset=-1)
 
@@ -558,7 +558,7 @@ def test_negative_offset_raises_whether_or_not_the_query_matches(both_indexes):
                     call(s, q, -2)
         for probe in ("dat", "zzzqqq"):
             with pytest.raises(ValueError, match="offset must be"):
-                s.search_prefix(probe, k=5, offset=-1)
+                s.search_expanded("prefix", probe, k=5, offset=-1)
 
     srv = make_server(term_dir, port=0)
     t = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -634,10 +634,12 @@ _PARITY_OPS = [
     ("search_phrase_prefix", ("the da",), {"k": 10}),
     ("search_rescore", ("data table",),
      {"k": 10, "window": 25, "rescore_weight": 2.0}),
-    ("search_prefix", ("dat",), {"k": 10, "where": [("lang", "=", "en")]}),
-    ("search_fuzzy", ("dta",), {"k": 10}),
-    ("search_wildcard", ("d?t*",), {"k": 10, "order_by": ("prio", "asc")}),
-    ("search_regex", ("da.a",), {"k": 10, "offset": 1}),
+    ("search_expanded", ("prefix", "dat"),
+     {"k": 10, "where": [("lang", "=", "en")]}),
+    ("search_expanded", ("fuzzy", "dta"), {"k": 10}),
+    ("search_expanded", ("wildcard", "d?t*"),
+     {"k": 10, "order_by": ("prio", "asc")}),
+    ("search_expanded", ("regex", "da.a"), {"k": 10, "offset": 1}),
     ("suggest", ("dat",), {}),
     ("_expand_pairs", ("prefix", "da"), {}),
     ("search_grouped", ("the data",), {"by": "lang", "k_per_group": 2}),

@@ -76,11 +76,13 @@ def test_filtered_conjunctive(searcher):
 
 def test_filtered_prefix_and_fuzzy(searcher):
     meta = _doc_meta(searcher)
-    full = searcher.search_prefix("s", k=10**9)
-    got = searcher.search_prefix("s", k=10, where=[("lang", "=", "fr")])
+    full = searcher.search_expanded("prefix", "s", k=10**9)
+    got = searcher.search_expanded("prefix", "s", k=10,
+                                   where=[("lang", "=", "fr")])
     assert got == _post_filter(full, meta, lambda r: r.lang == "fr", 10)
-    full = searcher.search_fuzzy("dat", k=10**9)
-    got = searcher.search_fuzzy("dat", k=10, where=[("doc_len", ">=", 50)])
+    full = searcher.search_expanded("fuzzy", "dat", k=10**9)
+    got = searcher.search_expanded("fuzzy", "dat", k=10,
+                                   where=[("doc_len", ">=", 50)])
     assert got == _post_filter(full, meta, lambda r: r.doc_len >= 50, 10)
 
 
@@ -98,7 +100,9 @@ def test_filter_errors(searcher):
         searcher.search("data", where=[("lang", "<", "en")])  # order on categorical
     with pytest.raises(ValueError):
         searcher.search("data", where=[("doc_len", "~", 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^doc values require a searcher "
+                                         "with a resident doc_id universe "
+                                         "and an index_dir$"):
         # a searcher with no resident rank universe refuses filters
         MultiSearcher([searcher.index_dir]).search(
             "data", where={"lang": "en"}
@@ -283,7 +287,7 @@ def test_offset_pagination(searcher):
         lambda off: searcher.search("the data", k=7, offset=off,
                                     order_by=("doc_len", "desc")),
         lambda off: searcher.search("data join", k=7, offset=off, mode="and"),
-        lambda off: searcher.search_prefix("s", k=7, offset=off),
+        lambda off: searcher.search_expanded("prefix", "s", k=7, offset=off),
         lambda off: searcher.search_phrase("the data", k=7, offset=off),
     ]
     fulls = [
@@ -292,7 +296,7 @@ def test_offset_pagination(searcher):
                         where=[("lang", "!=", "ja")]),
         searcher.search("the data", k=10**9, order_by=("doc_len", "desc")),
         searcher.search("data join", k=10**9, mode="and"),
-        searcher.search_prefix("s", k=10**9),
+        searcher.search_expanded("prefix", "s", k=10**9),
         searcher.search_phrase("the data", k=10**9),
     ]
     for fn, full in zip(cases, fulls):

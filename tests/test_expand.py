@@ -14,8 +14,7 @@ import pytest
 from refimage_ray.query.dsl import (
     AndQuery,
     DSLParser,
-    FuzzyQuery,
-    PrefixQuery,
+    ExpandQuery,
     TagFilter,
 )
 from refimage_ray.query.engine import DistributedSearcher, LocalSearcher
@@ -112,7 +111,7 @@ def _vocab(local):
 def test_search_prefix_equals_or_query(local):
     matches = prefix_matches(_vocab(local), "s")
     assert len(matches) > 2
-    expanded = local.search_prefix("s", k=20)
+    expanded = local.search_expanded("prefix", "s", k=20)
     explicit = local.search(" ".join(matches), k=20, mode="or")
     assert expanded == explicit
 
@@ -123,7 +122,7 @@ def test_search_fuzzy_equals_or_query(local):
     probe = "lime"
     matches = fuzzy_matches(idx, probe)
     assert matches, "fixture vocab should contain a distance-1 match"
-    assert local.search_fuzzy(probe, k=20) == local.search(
+    assert local.search_expanded("fuzzy", probe, k=20) == local.search(
         " ".join(matches), k=20, mode="or"
     )
 
@@ -135,14 +134,14 @@ def test_search_fuzzy_vs_naive_dp_expansion(local):
 
 
 def test_search_prefix_no_match_empty(local):
-    assert local.search_prefix("qqqxyz", k=10) == []
+    assert local.search_expanded("prefix", "qqqxyz", k=10) == []
 
 
 def test_expansion_probe_must_be_single_term(local):
     with pytest.raises(ValueError):
-        local.search_prefix("two words")
+        local.search_expanded("prefix", "two words")
     with pytest.raises(ValueError):
-        local.search_fuzzy("")
+        local.search_expanded("fuzzy", "")
 
 
 def test_max_expansions_cap(local):
@@ -151,9 +150,9 @@ def test_max_expansions_cap(local):
     assert len(matches) > 2
     pairs = [(t, local.terms[t].df) for t in matches]
     capped_terms = cap_expansion(pairs, 2)
-    assert local.search_prefix("s", k=20, max_expansions=2) == local.search(
-        " ".join(capped_terms), k=20, mode="or"
-    )
+    assert local.search_expanded(
+        "prefix", "s", k=20, max_expansions=2
+    ) == local.search(" ".join(capped_terms), k=20, mode="or")
 
 
 def test_synonyms_equal_union_query(local):
@@ -173,8 +172,9 @@ def test_synonyms_requires_or_mode(local):
 def test_distributed_expansion_matches_local(ray_session, built_index, local):
     d = DistributedSearcher(built_index[0], num_actors=3)
     d.wait_ready()
-    assert d.search_prefix("s", k=15) == local.search_prefix("s", k=15)
-    assert d.search_fuzzy("lime", k=15) == local.search_fuzzy("lime", k=15)
+    for kind, probe in (("prefix", "s"), ("fuzzy", "lime")):
+        assert d.search_expanded(kind, probe, k=15) == \
+            local.search_expanded(kind, probe, k=15)
     assert d.search("spark", k=15, synonyms={"spark": ["merge"]}) == local.search(
         "spark", k=15, synonyms={"spark": ["merge"]}
     )
@@ -192,8 +192,9 @@ def test_docpart_expansion_matches_term_partitioned(
     out = str(tmp_path / "dp")
     build_doc_partitioned(rd.from_arrow(tiny_docs), out, cfg, num_doc_shards=4)
     dp = DocPartSearcher(out)
-    assert dp.search_prefix("s", k=15) == local.search_prefix("s", k=15)
-    assert dp.search_fuzzy("lime", k=15) == local.search_fuzzy("lime", k=15)
+    for kind, probe in (("prefix", "s"), ("fuzzy", "lime")):
+        assert dp.search_expanded(kind, probe, k=15) == \
+            local.search_expanded(kind, probe, k=15)
 
 
 # --- DSL integration ---
@@ -203,20 +204,18 @@ def test_dsl_prefix_and_fuzzy_tokens():
     p = DSLParser()
     node = p.parse("spar* AND #en")
     assert isinstance(node, AndQuery)
-    assert isinstance(node.operands[0], PrefixQuery)
-    assert node.operands[0].prefix == "spar"
+    assert node.operands[0] == ExpandQuery("prefix", "spar")
     assert isinstance(node.operands[1], TagFilter)
     node = p.parse("lime~")
-    assert isinstance(node, FuzzyQuery) and node.term == "lime"
+    assert node == ExpandQuery("fuzzy", "lime")
 
 
 def test_dsl_function_grammar_expansion():
     p = DSLParser()
     node = p.parse('PREFIX("spar")')
-    assert isinstance(node, PrefixQuery) and node.prefix == "spar"
+    assert node == ExpandQuery("prefix", "spar")
     node = p.parse('WEIGHT(FUZZY("lime"), 2.0)')
-    assert isinstance(node, FuzzyQuery)
-    assert node.term == "lime" and node.weight == 2.0
+    assert node == ExpandQuery("fuzzy", "lime", 2.0)
 
 
 def test_dsl_executor_prefix_membership(local):
@@ -303,12 +302,13 @@ def test_search_wildcard_equals_or_query(local):
 
     matches = wildcard_matches(_vocab(local), "s?a*")
     assert len(matches) >= 2
-    assert local.search_wildcard("s?a*", k=20) == local.search(
+    assert local.search_expanded("wildcard", "s?a*", k=20) == local.search(
         " ".join(matches), k=20, mode="or"
     )
     # pure-prefix glob == the dedicated prefix path
-    assert local.search_wildcard("s*", k=20) == local.search_prefix("s", k=20)
-    assert local.search_wildcard("qq*zz", k=10) == []
+    assert local.search_expanded("wildcard", "s*", k=20) == \
+        local.search_expanded("prefix", "s", k=20)
+    assert local.search_expanded("wildcard", "qq*zz", k=10) == []
 
 
 def test_search_regex_equals_or_query(local):
@@ -316,29 +316,27 @@ def test_search_regex_equals_or_query(local):
 
     matches = regex_matches(_vocab(local), "[a-z]*ow")
     assert matches
-    assert local.search_regex("[a-z]*ow", k=20) == local.search(
+    assert local.search_expanded("regex", "[a-z]*ow", k=20) == local.search(
         " ".join(matches), k=20, mode="or"
     )
 
 
 def test_wildcard_regex_probe_validation(local):
     with pytest.raises(ValueError):
-        local.search_regex("[unclosed")
+        local.search_expanded("regex", "[unclosed")
     with pytest.raises(ValueError):
-        local.search_wildcard("")
+        local.search_expanded("wildcard", "")
     # uppercase glob lowercases (terms are lowercase)
-    assert local.search_wildcard("S?A*", k=5) == local.search_wildcard(
-        "s?a*", k=5
-    )
+    assert local.search_expanded("wildcard", "S?A*", k=5) == \
+        local.search_expanded("wildcard", "s?a*", k=5)
 
 
 def test_distributed_wildcard_regex_match_local(ray_session, built_index, local):
     d = DistributedSearcher(built_index[0], num_actors=3)
     d.wait_ready()
-    assert d.search_wildcard("s?a*", k=15) == local.search_wildcard("s?a*", k=15)
-    assert d.search_regex("[a-z]*ow", k=15) == local.search_regex(
-        "[a-z]*ow", k=15
-    )
+    for kind, probe in (("wildcard", "s?a*"), ("regex", "[a-z]*ow")):
+        assert d.search_expanded(kind, probe, k=15) == \
+            local.search_expanded(kind, probe, k=15)
 
 
 def test_docpart_wildcard_regex_match_local(
@@ -353,30 +351,22 @@ def test_docpart_wildcard_regex_match_local(
     out = str(tmp_path / "dpw")
     build_doc_partitioned(rd.from_arrow(tiny_docs), out, cfg, num_doc_shards=4)
     dp = DocPartSearcher(out)
-    assert dp.search_wildcard("s?a*", k=15) == local.search_wildcard(
-        "s?a*", k=15
-    )
-    assert dp.search_regex("[a-z]*ow", k=15) == local.search_regex(
-        "[a-z]*ow", k=15
-    )
+    for kind, probe in (("wildcard", "s?a*"), ("regex", "[a-z]*ow")):
+        assert dp.search_expanded(kind, probe, k=15) == \
+            local.search_expanded(kind, probe, k=15)
 
 
 def test_dsl_wildcard_tokens():
-    from refimage_ray.query.dsl import RegexQuery, WildcardQuery
-
     p = DSLParser()
     # mid-token glob → wildcard; single trailing star stays prefix
     node = p.parse("s?a* AND spar*")
     assert isinstance(node, AndQuery)
-    assert isinstance(node.operands[0], WildcardQuery)
-    assert node.operands[0].pattern == "s?a*"
-    assert isinstance(node.operands[1], PrefixQuery)
-    assert node.operands[1].prefix == "spar"
+    assert node.operands == [ExpandQuery("wildcard", "s?a*"),
+                             ExpandQuery("prefix", "spar")]
     node = p.parse('WILDCARD("ne?w*k")')
-    assert isinstance(node, WildcardQuery) and node.pattern == "ne?w*k"
+    assert node == ExpandQuery("wildcard", "ne?w*k")
     node = p.parse('WEIGHT(REGEX("[a-z]*ow"), 3.0)')
-    assert isinstance(node, RegexQuery)
-    assert node.pattern == "[a-z]*ow" and node.weight == 3.0
+    assert node == ExpandQuery("regex", "[a-z]*ow", 3.0)
 
 
 def test_dsl_executor_wildcard_membership(local):
@@ -388,3 +378,59 @@ def test_dsl_executor_wildcard_membership(local):
     matches = wildcard_matches(_vocab(local), "s?a*")
     want = {d for d, _ in local.search(" ".join(matches), k=10**6, mode="or")}
     assert got == want
+
+
+# --- one expansion operator on every searcher ---
+
+# a term no tiny-corpus doc holds, within one edit of "spark": each
+# probe below matches it and base-vocabulary terms alike
+BUFFER_ONLY = "spaark"
+KIND_PROBES = [("prefix", "sp"), ("fuzzy", "spark"), ("wildcard", "sp*k"),
+               ("regex", "sp.*k")]
+
+
+@pytest.fixture(scope="module")
+def every_searcher(ray_session, tiny_docs, tmp_path_factory):
+    """The same corpus behind every searcher flavor: term and
+    doc-partitioned builds of it, a federation of the term build, and
+    an NRT buffer over a build of the first 200 docs that holds the
+    rest plus a doc with :data:`BUFFER_ONLY`."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from refimage_ray.config import EngineConfig
+    from refimage_ray.index.build import build_index
+    from refimage_ray.index.docpart import DocPartSearcher, build_doc_partitioned
+    from refimage_ray.query.multi import MultiSearcher
+    from refimage_ray.query.nrt import DeltaSearcher
+
+    cfg = EngineConfig(num_shards=4, salt_buckets=2)
+    extra = pa.table({
+        "doc_id": pa.array([10**6], pa.int64()),
+        "text": [f"{BUFFER_ONLY} spark data"],
+        "url": ["https://extra.example/1"], "lang": ["en"],
+    })
+    corpus = pa.concat_tables([tiny_docs, extra])
+    root = tmp_path_factory.mktemp("every_searcher")
+    term, doc, base = (str(root / n) for n in ("term", "doc", "base"))
+    build_index(rd.from_arrow(corpus), term, cfg)
+    build_doc_partitioned(rd.from_arrow(corpus), doc, cfg, num_doc_shards=4)
+    build_index(rd.from_arrow(corpus.slice(0, 200)), base, cfg)
+    delta = DeltaSearcher(base)
+    delta.add(corpus.slice(200).select(["doc_id", "text"]))
+    assert BUFFER_ONLY not in delta.base.terms
+    return {"local": LocalSearcher(term), "docpart": DocPartSearcher(doc),
+            "multi": MultiSearcher([term]), "delta": delta}
+
+
+@pytest.mark.parametrize("kind,probe", KIND_PROBES,
+                         ids=[k for k, _ in KIND_PROBES])
+def test_search_expanded_identical_on_every_searcher(every_searcher, kind,
+                                                     probe):
+    want_pairs = every_searcher["local"]._expand_pairs(kind, probe)
+    want_hits = every_searcher["local"].search_expanded(kind, probe, k=20)
+    assert BUFFER_ONLY in dict(want_pairs)
+    assert want_hits
+    for name, s in every_searcher.items():
+        assert s._expand_pairs(kind, probe) == want_pairs, name
+        assert s.search_expanded(kind, probe, k=20) == want_hits, name

@@ -70,6 +70,16 @@ def test_explain_plan_shape():
     assert "exclude" in not_node
 
 
+@pytest.mark.parametrize("query,kind,arg", [
+    ("spar*", "prefix", "spar"),
+    ("lime~", "fuzzy", "lime"),
+    ("ne?w*k", "wildcard", "ne?w*k"),
+    ('REGEX("[a-z]*ow")', "regex", "[a-z]*ow"),
+])
+def test_explain_names_expansion_leaf_by_kind(query, kind, arg):
+    assert explain(query)["plan"] == {"op": kind, "arg": arg, "weight": 1.0}
+
+
 def test_list_docs_page_validation(ray_session):
     from refimage_ray.pipelines.corpus import list_docs_page
 

@@ -68,10 +68,32 @@ def test_multi_expansion_and_count(federation):
     dirs, full_dir, _ = federation
     multi = MultiSearcher(dirs)
     full = LocalSearcher(full_dir)
-    assert multi.search_prefix("s", k=15) == full.search_prefix("s", k=15)
-    assert multi.search_fuzzy("spark", k=10) == full.search_fuzzy("spark", k=10)
+    assert multi.search_expanded("prefix", "s", k=15) == \
+        full.search_expanded("prefix", "s", k=15)
+    assert multi.search_expanded("fuzzy", "spark", k=10) == \
+        full.search_expanded("fuzzy", "spark", k=10)
     for q in QUERIES:
         assert multi.count(q) == full.count(q)
+
+
+def test_multi_text_verified_operators_refuse_without_a_docs_store(
+    federation,
+):
+    """phrase, phrase_prefix, near and rescore verify against stored
+    text when the postings carry no positions (federated postings never
+    do).  A federation has no single ``docs/`` store, so each refuses
+    with a ValueError, not an AttributeError."""
+    multi = MultiSearcher([federation[0][0]])
+    calls = {
+        "phrase": lambda: multi.search_phrase("the data"),
+        "phrase_prefix": lambda: multi.search_phrase_prefix("the da"),
+        "near": lambda: multi.search_near("the data", 5),
+        "rescore": lambda: multi.search_rescore("the data"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="no docs/ text store") as err:
+            call()
+        assert "store_positions=True" in str(err.value), name
 
 
 def test_multi_rejects_overlap(federation):

@@ -84,8 +84,10 @@ def test_nrt_expansion_sees_buffer(nrt_setup):
     delta = DeltaSearcher(base_dir)
     delta.add(b)
     full = LocalSearcher(full_dir)
-    assert delta.search_prefix("s", k=15) == full.search_prefix("s", k=15)
-    assert delta.search_fuzzy("spark", k=10) == full.search_fuzzy("spark", k=10)
+    assert delta.search_expanded("prefix", "s", k=15) == \
+        full.search_expanded("prefix", "s", k=15)
+    assert delta.search_expanded("fuzzy", "spark", k=10) == \
+        full.search_expanded("fuzzy", "spark", k=10)
 
 
 def test_nrt_count(nrt_setup):
@@ -233,26 +235,37 @@ def test_docpart_nrt_guards(docpart_nrt_setup):
 
 
 # every operator DocPartDeltaSearcher refuses while docs are buffered:
-# (operator, the name its refusal gives, arguments, the serve request
-# that reaches it — None when no route does)
+# (case id — the operator, or its expansion kind's old operator name —
+# the name its refusal gives, the call, the serve request that reaches
+# it — None when no route does)
 NEEDS_FLUSH = [
-    ("search_phrase", "phrase", ("the data",), "/search?q=the+data&mode=phrase"),
-    ("search_near", "NEAR", ("the data",), "/search?q=the+data&mode=near"),
-    ("search_prefix", "prefix", ("da",), "/search?q=da&mode=prefix"),
-    ("search_fuzzy", "fuzzy", ("data",), "/search?q=data&mode=fuzzy"),
-    ("search_wildcard", "wildcard", ("da*a",), "/search?q=da*a&mode=wildcard"),
-    ("search_regex", "regex", ("da.a",), "/search?q=da.a&mode=regex"),
-    ("search_phrase_prefix", "phrase_prefix", ("the da",),
+    ("search_phrase", "phrase", ("search_phrase", "the data"),
+     "/search?q=the+data&mode=phrase"),
+    ("search_near", "NEAR", ("search_near", "the data"),
+     "/search?q=the+data&mode=near"),
+    ("search_prefix", "prefix", ("search_expanded", "prefix", "da"),
+     "/search?q=da&mode=prefix"),
+    ("search_fuzzy", "fuzzy", ("search_expanded", "fuzzy", "data"),
+     "/search?q=data&mode=fuzzy"),
+    ("search_wildcard", "wildcard", ("search_expanded", "wildcard", "da*a"),
+     "/search?q=da*a&mode=wildcard"),
+    ("search_regex", "regex", ("search_expanded", "regex", "da.a"),
+     "/search?q=da.a&mode=regex"),
+    ("search_phrase_prefix", "phrase_prefix",
+     ("search_phrase_prefix", "the da"),
      "/search?q=the+da&mode=phrase_prefix"),
-    ("search_rescore", "rescore", ("the data",),
+    ("search_rescore", "rescore", ("search_rescore", "the data"),
      "/search?q=the+data&rescore_window=10"),
-    ("search_many", "batch (search_many)", (["the data"],), None),
-    ("suggest", "suggest", ("dat",), "/suggest?q=dat"),
-    ("_expand_pairs", "vocabulary-browse (/terms)", ("prefix", "da"),
-     "/terms?prefix=da"),
-    ("facets", "facet", ("data",), "/facets?q=data&by=lang"),
-    ("composite", "composite-paging", ("data",), "/composite?q=data&by=lang"),
-    ("search_grouped", "grouped", ("data",), "/grouped?q=data&by=lang"),
+    ("search_many", "batch (search_many)", ("search_many", ["the data"]),
+     None),
+    ("suggest", "suggest", ("suggest", "dat"), "/suggest?q=dat"),
+    ("_expand_pairs", "vocabulary-browse (/terms)",
+     ("_expand_pairs", "prefix", "da"), "/terms?prefix=da"),
+    ("facets", "facet", ("facets", "data"), "/facets?q=data&by=lang"),
+    ("composite", "composite-paging", ("composite", "data"),
+     "/composite?q=data&by=lang"),
+    ("search_grouped", "grouped", ("search_grouped", "data"),
+     "/grouped?q=data&by=lang"),
 ]
 
 
@@ -261,15 +274,16 @@ def _needs_flush_text(what: str) -> str:
             "first (positions/vocabulary structures are artifact-side)")
 
 
-@pytest.mark.parametrize("op,what,args,_req", NEEDS_FLUSH,
+@pytest.mark.parametrize("_id,what,call,_req", NEEDS_FLUSH,
                          ids=[r[0] for r in NEEDS_FLUSH])
-def test_docpart_nrt_refuses_until_flush(docpart_nrt_setup, op, what, args,
+def test_docpart_nrt_refuses_until_flush(docpart_nrt_setup, _id, what, call,
                                          _req):
     from refimage_ray.query.nrt import DocPartDeltaSearcher
 
     base_dir, _, _, _, b = docpart_nrt_setup
     d = DocPartDeltaSearcher(base_dir)
     d.add(b.slice(0, 3))
+    op, *args = call
     with pytest.raises(ValueError, match="flush") as err:
         getattr(d, op)(*args)
     assert str(err.value) == _needs_flush_text(what)

@@ -20,11 +20,11 @@ from refimage_ray.query.nrt import DeltaSearcher
 # operator → call(searcher, k, offset); UNPAGED operators take no offset
 PAGED = {
     "search": lambda s, k, o: s.search("the data join", k=k, offset=o),
-    "search_prefix": lambda s, k, o: s.search_prefix("dat", k=k, offset=o),
-    "search_fuzzy": lambda s, k, o: s.search_fuzzy("data", k=k, offset=o),
-    "search_wildcard": lambda s, k, o: s.search_wildcard("d?t*", k=k,
-                                                         offset=o),
-    "search_regex": lambda s, k, o: s.search_regex("da.*", k=k, offset=o),
+    **{f"search_expanded({kind})":
+       lambda s, k, o, kind=kind, probe=probe: s.search_expanded(
+           kind, probe, k=k, offset=o)
+       for kind, probe in (("prefix", "dat"), ("fuzzy", "data"),
+                           ("wildcard", "d?t*"), ("regex", "da.*"))},
     "search_phrase": lambda s, k, o: s.search_phrase("the data", k=k,
                                                      offset=o),
     "search_phrase_prefix": lambda s, k, o: s.search_phrase_prefix(

@@ -395,8 +395,8 @@ def test_docpart_phrase_prefix_matches_term_layout(ray_session, tiny_docs,
 def test_docpart_phrase_prefix_stemmed_parity(ray_session, tmp_path):
     """On an s_stem artifact the phrase-prefix probe must be stemmed
     the same way in both layouts (term layout stems via
-    _SearcherBase._tokenize; docpart threads the manifest term_filter
-    into _GlobalVocabExpander) — a plural-form last token otherwise
+    _SearcherBase._tokenize; docpart tokenizes with its manifest
+    term_filter) — a plural-form last token otherwise
     returns different completions per layout."""
     from refimage_ray.index.docpart import (
         DocPartSearcher,
@@ -428,8 +428,8 @@ def test_docpart_phrase_prefix_stemmed_parity(ray_session, tmp_path):
         assert sd.search_phrase_prefix(probe, k=25) == want, probe
     # single-term expansion probes (prefix/fuzzy) go through the same
     # normalize path — check suggest-adjacent prefix search parity too
-    want = st.search_prefix("tables", k=25)
-    assert sd.search_prefix("tables", k=25) == want
+    want = st.search_expanded("prefix", "tables", k=25)
+    assert sd.search_expanded("prefix", "tables", k=25) == want
 
 
 def test_near_window_clamped(pos_indexes):

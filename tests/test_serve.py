@@ -90,11 +90,11 @@ def test_search_expansion_modes(server):
     st, body = _get(base + "/search?q=spar&k=5&mode=prefix")
     assert st == 200
     got = [(r["doc_id"], r["score"]) for r in body["results"]]
-    assert got == s.search_prefix("spar", k=5)
+    assert got == s.search_expanded("prefix", "spar", k=5)
     st, body = _get(base + "/search?q=lime&k=5&mode=fuzzy")
     assert st == 200
     got = [(r["doc_id"], r["score"]) for r in body["results"]]
-    assert got == s.search_fuzzy("lime", k=5)
+    assert got == s.search_expanded("fuzzy", "lime", k=5)
     # a multi-term probe is a client error, not a dropped connection
     try:
         st, _ = _get(base + "/search?q=two+words&mode=prefix")

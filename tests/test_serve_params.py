@@ -101,6 +101,29 @@ def test_negative_size_is_refused(layouts, layout, path, param, good,
 
 
 @pytest.mark.parametrize("layout", ["term", "docpart"])
+def test_terms_and_suggest_answer_alike_on_both_layouts(layouts, layout):
+    """``/terms`` browses the vocabulary with the raw lowercased prefix
+    on both layouts (an empty prefix lists every term, one with a space
+    matches none), and ``suggest`` refuses an empty or two-word input
+    with one text."""
+    from refimage_ray.index.docpart import DocPartSearcher
+    from refimage_ray.query.engine import LocalSearcher
+
+    base, index_dir = layouts[layout]
+    vocab = LocalSearcher(layouts["term"][1]).terms
+    st, body = _call(base + "/terms?prefix=&max=1000000")
+    assert st == 200
+    assert body == {"terms": [{"term": t, "df": vocab[t].df}
+                              for t in sorted(vocab)]}
+    assert _call(base + "/terms?prefix=new%20york") == (200, {"terms": []})
+    s = (LocalSearcher if layout == "term" else DocPartSearcher)(index_dir)
+    for bad in ("", "two words"):
+        with pytest.raises(ValueError) as err:
+            s.suggest(bad)
+        assert str(err.value) == f"suggest takes exactly one term, got {bad!r}"
+
+
+@pytest.mark.parametrize("layout", ["term", "docpart"])
 def test_zero_k_answers_no_results(layouts, layout):
     assert _call(layouts[layout][0] + "/search?q=data&k=0") == (
         200, {"results": []})
